@@ -58,7 +58,7 @@ def cmd_analyze(args) -> int:
     summary = json.loads((Path(out) / "summary.json").read_text())
     print(
         f"analysis complete: {out} "
-        f"(gamma_v_count={summary['gamma_v_count']}, "
+        f"(gamma_v_count={summary['counts']['gamma_v']}, "
         f"sign_violations={summary['sign_violations']['alpha'] + summary['sign_violations']['beta']})"
     )
     return 0
@@ -101,7 +101,7 @@ def _sweep_child(base: dict, pointer: str, value, out_root: Path, tag: str):
     return {
         "value": value,
         "status": "ok",
-        "gamma_v_count": summary["gamma_v_count"],
+        "gamma_v_count": summary["counts"]["gamma_v"],
         "profile_max": summary["profile_global_max"],
         "error": "",
     }
@@ -112,11 +112,17 @@ def cmd_sweep(args) -> int:
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("no values")
+    threads = os.environ.get("HYSTERM_THREADS")
+    try:
+        workers = int(threads) if threads is not None else os.cpu_count() or 1
+    except ValueError:
+        raise ConfigError(
+            f"HYSTERM_THREADS must be an integer, got {threads!r}"
+        ) from None
     out_root = _default_run_dir(cfg).parent / f"{cfg.name}_sweep"
     out_root.mkdir(parents=True, exist_ok=True)
     base = cfg.to_dict()
 
-    workers = int(os.environ.get("HYSTERM_THREADS", os.cpu_count() or 1))
     rows = [None] * len(values)
 
     def job(i):

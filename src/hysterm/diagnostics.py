@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .free_boundary import FreeBoundaryAtlas
+from .free_boundary import JUMP_DOWN, JUMP_UP, FreeBoundaryAtlas
 from .grid import (
     Grid,
     SpaceTimePoint,
@@ -30,6 +30,7 @@ from .grid import (
     gradient,
     hessian,
     parabolic_distance,
+    time_derivative,
 )
 
 _SLACK = 1e-12
@@ -216,8 +217,10 @@ def phi_from_pair(
 
 
 def _nearest_index(g: Grid, x: np.ndarray) -> tuple:
+    """Index of the grid point nearest to x, clipped to the grid."""
     return tuple(
-        int(round(xi / d)) for xi, d in zip(np.atleast_1d(x), g.dx)
+        int(np.clip(round(xi / d), 0, n - 1))
+        for xi, d, n in zip(np.atleast_1d(x), g.dx, g.nx)
     )
 
 
@@ -342,19 +345,14 @@ def eligible_growth_centers(
     vertical walls and to the parabolic boundary both at least the largest
     radius of the ladder.  Returns (centers, skipped_count).
     """
-    from .grid import _as_point_array
-
-    wall_pts = (
-        _as_point_array(sol, atlas.gamma_v_points()) if atlas.gamma_v else None
-    )
+    wall_pts = atlas.coords(sol, atlas.gamma_v)
     centers = []
     skipped = 0
-    for ev in atlas.gamma_0:
-        z = ev.location
+    for z in atlas.points(atlas.gamma_0):
         if boundary_distance(sol, z) < rmax:
             skipped += 1
             continue
-        if wall_pts is not None and parabolic_distance(z, wall_pts, sol) < rmax:
+        if parabolic_distance(z, wall_pts, sol) < rmax:
             skipped += 1
             continue
         centers.append(z)
@@ -373,7 +371,7 @@ def quadratic_growth(
     """Oscillation of u over lower and full cylinders per radius ladder."""
     radii = sorted((float(r) for r in radii), reverse=True)
     centers, _ = eligible_growth_centers(sol, atlas, radii[0], max_centers)
-    gn = _grad_norm_cache(sol)
+    gn = atlas.grad_norm_stack
     samples = []
     for z in centers:
         osc_lower, osc_full, sup_grad = [], [], []
@@ -397,24 +395,6 @@ def quadratic_growth(
     return samples
 
 
-def gradient_growth(
-    sol: SpaceTimeSolution,
-    atlas: FreeBoundaryAtlas,
-    radii: Sequence[float],
-    max_centers: int = 32,
-) -> list:
-    """Sup of |Du| over full cylinders at the same eligible centers."""
-    return quadratic_growth(sol, atlas, radii, max_centers)
-
-
-def _grad_norm_cache(sol: SpaceTimeSolution) -> np.ndarray:
-    out = np.empty_like(sol.u)
-    for k in range(sol.num_snapshots):
-        gvec = gradient(sol.u[k], sol.grid)
-        out[k] = np.sqrt((gvec**2).sum(axis=0))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sign conditions, normals, profile
 
@@ -429,7 +409,6 @@ class SignReport:
     worst_alpha: float
     worst_beta: float
     tol: float
-    violating_events: list = field(default_factory=list)
 
     @property
     def total_violations(self) -> int:
@@ -444,46 +423,28 @@ def sign_conditions(
     Down-jumps must have dt_u <= tol, up-jumps dt_u >= -tol; points within
     parabolic distance 2*sqrt(dt) of a vertical wall are excluded.
     """
-    from .grid import _as_point_array
-
     dts = np.diff(sol.times)
     guard = 2.0 * float(np.sqrt(dts.min()))
-    wall_pts = (
-        _as_point_array(sol, atlas.gamma_v_points()) if atlas.gamma_v else None
-    )
-
-    checked_a = checked_b = skipped = 0
-    viol_a = viol_b = 0
-    worst_a = -np.inf
-    worst_b = np.inf
-    bad = []
-    for ev in atlas.gamma_star:
-        if wall_pts is not None:
-            if parabolic_distance(ev.location, wall_pts, sol) <= guard:
-                skipped += 1
-                continue
-        if ev.kind == "JumpDown":
-            checked_a += 1
-            worst_a = max(worst_a, ev.dt_u)
-            if ev.dt_u > tol:
-                viol_a += 1
-                bad.append(ev)
-        elif ev.kind == "JumpUp":
-            checked_b += 1
-            worst_b = min(worst_b, ev.dt_u)
-            if ev.dt_u < -tol:
-                viol_b += 1
-                bad.append(ev)
+    rows = atlas.gamma_star
+    # no walls, no skips: the distance cap itself may lie below the guard
+    if len(atlas.gamma_v):
+        wall_pts = atlas.coords(sol, atlas.gamma_v)
+        near = [
+            parabolic_distance(z, wall_pts, sol) <= guard
+            for z in atlas.points(rows)
+        ]
+        rows = rows[~np.array(near, dtype=bool)]
+    down = atlas.dt_u[rows[atlas.kind[rows] == JUMP_DOWN]]
+    up = atlas.dt_u[rows[atlas.kind[rows] == JUMP_UP]]
     return SignReport(
-        checked_alpha=checked_a,
-        checked_beta=checked_b,
-        skipped_near_wall=skipped,
-        violations_alpha=viol_a,
-        violations_beta=viol_b,
-        worst_alpha=float(worst_a),
-        worst_beta=float(worst_b),
+        checked_alpha=down.size,
+        checked_beta=up.size,
+        skipped_near_wall=len(atlas.gamma_star) - rows.size,
+        violations_alpha=int((down > tol).sum()),
+        violations_beta=int((up < -tol).sum()),
+        worst_alpha=float(down.max(initial=-np.inf)),
+        worst_beta=float(up.min(initial=np.inf)),
         tol=float(tol),
-        violating_events=bad,
     )
 
 
@@ -499,8 +460,6 @@ def normal_vector(
         raise ValueError("normal_vector needs t_index >= 1")
     gvec = gradient(sol.u[z.t_index], sol.grid)
     du = np.array([gvec[a][z.idx] for a in range(sol.grid.dim)])
-    from .grid import time_derivative
-
     dtu = float(time_derivative(sol, z.t_index)[z.idx])
     vec = np.append(du, dtu)
     norm = float(np.linalg.norm(vec))
@@ -520,10 +479,7 @@ def normal_probe(
     """True when stepping delta along the normal lands in the +1 region."""
     x = sol.grid.coords(z.idx) + delta * n_vec[:-1]
     t = sol.times[z.t_index] + delta * n_vec[-1]
-    idx = tuple(
-        int(np.clip(round(xi / d), 0, n - 1))
-        for xi, d, n in zip(x, sol.grid.dx, sol.grid.nx)
-    )
+    idx = _nearest_index(sol.grid, x)
     k = int(np.clip(np.searchsorted(sol.times, t), 0, sol.num_snapshots - 1))
     return bool(sol.h[k][idx] > 0)
 
@@ -571,12 +527,9 @@ def regularity_profile(
     sample_count: int = 256,
 ) -> RegularityProfile:
     """Deterministic stratified sample of off-boundary, off-event points."""
-    from .grid import _as_point_array, time_derivative
-
-    wall_pts = (
-        _as_point_array(sol, atlas.gamma_v_points()) if atlas.gamma_v else None
-    )
-    events = atlas.event_index_set()
+    wall_pts = atlas.coords(sol, atlas.gamma_v)
+    on_event = np.zeros(sol.u.shape, dtype=bool)
+    on_event[(atlas.t_index, *atlas.idx.T)] = True
     cap = sol.r_max()
 
     n_time = max(2, int(np.sqrt(sample_count)))
@@ -609,18 +562,13 @@ def regularity_profile(
             dtu_cache[k] = np.abs(time_derivative(sol, int(k)))
         for si in s_picks:
             idx = interior_flat[si]
-            z = SpaceTimePoint(int(k), idx)
-            if z in events:
+            if on_event[(k, *idx)]:
                 continue
-            d_gv = (
-                parabolic_distance(z, wall_pts, sol)
-                if wall_pts is not None
-                else cap
-            )
+            z = SpaceTimePoint(int(k), idx)
             samples.append(
                 ProfileSample(
                     point=z,
-                    dist_to_gamma_v=d_gv,
+                    dist_to_gamma_v=parabolic_distance(z, wall_pts, sol),
                     dist_to_boundary=boundary_distance(sol, z),
                     abs_dt_u=float(dtu_cache[k][idx]),
                     hess_norm=float(hess_cache[k][idx]),

@@ -16,52 +16,62 @@ placement.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpaceTimePoint, SpaceTimeSolution, gradient, laplacian
+from .grid import (
+    SpaceTimePoint,
+    SpaceTimeSolution,
+    gradient,
+    laplacian,
+    space_time_coords,
+)
 
-JUMP_DOWN = "JumpDown"
-JUMP_UP = "JumpUp"
-VERTICAL_WALL = "VerticalWall"
+# int8 event kind codes; their order is the order of the names in atlas.csv
+JUMP_DOWN, JUMP_UP, VERTICAL_WALL = 0, 1, 2
 
 DEFAULT_WALL_MIN_STEPS = 3
 
 
-@dataclass(frozen=True)
-class FbEvent:
-    location: SpaceTimePoint
-    kind: str
-    u_value: float
-    grad_norm: float
-    dt_u: float
-
-
 @dataclass
 class FreeBoundaryAtlas:
-    gamma_alpha: list
-    gamma_beta: list
-    gamma_v: list
-    gamma_0: list
-    gamma_star: list
-    omega_plus: np.ndarray
-    omega_minus: np.ndarray
+    """One event table and the classes as row-index arrays into it.
+
+    Row ``i`` is the event at grid point ``(t_index[i], idx[i])`` of kind
+    ``kind[i]``, with the field value, gradient norm and backward time
+    difference quotient there.  Rows hold the down-jumps (Gamma_alpha) in
+    (t, C-order index) order, then the up-jumps (Gamma_beta), then the wall
+    endpoints (Gamma_v) face by face; a point bordering two wall faces
+    appears once per face.  ``grad_norm_stack`` is |Du| per snapshot.
+    """
+
+    t_index: np.ndarray
+    idx: np.ndarray
+    kind: np.ndarray
+    u: np.ndarray
+    grad_norm: np.ndarray
+    dt_u: np.ndarray
+    gamma_alpha: np.ndarray
+    gamma_beta: np.ndarray
+    gamma_v: np.ndarray
+    gamma_0: np.ndarray
+    gamma_star: np.ndarray
+    grad_norm_stack: np.ndarray
     level_tol: float
     grad_tol: float
     wall_min_steps: int
-    params: dict = field(default_factory=dict)
 
-    @property
-    def jump_events(self) -> list:
-        return self.gamma_alpha + self.gamma_beta
+    def coords(self, sol: SpaceTimeSolution, rows) -> np.ndarray:
+        """(t, x...) coordinate rows of the selected events."""
+        return space_time_coords(sol, self.t_index[rows], self.idx[rows].T)
 
-    def gamma_v_points(self) -> list:
-        return [e.location for e in self.gamma_v]
-
-    def event_index_set(self) -> set:
-        return {e.location for e in self.gamma_alpha + self.gamma_beta + self.gamma_v}
+    def points(self, rows) -> list:
+        """The selected events as SpaceTimePoints."""
+        return [
+            SpaceTimePoint(t, tuple(i))
+            for t, i in zip(self.t_index[rows].tolist(), self.idx[rows].tolist())
+        ]
 
 
 def default_level_tol(sol: SpaceTimeSolution) -> float:
@@ -82,7 +92,8 @@ def default_grad_tol(sol: SpaceTimeSolution) -> float:
     return 5.0 * min(sol.grid.dx)
 
 
-def _grad_norm_stack(sol: SpaceTimeSolution) -> np.ndarray:
+def grad_norm_stack(sol: SpaceTimeSolution) -> np.ndarray:
+    """|Du| at every stored snapshot."""
     out = np.empty_like(sol.u)
     for k in range(sol.num_snapshots):
         gvec = gradient(sol.u[k], sol.grid)
@@ -102,76 +113,70 @@ def classify(
     level_tol = default_level_tol(sol) if level_tol is None else float(level_tol)
     grad_tol = default_grad_tol(sol) if grad_tol is None else float(grad_tol)
 
-    th = sol.thresholds
-    gn = _grad_norm_stack(sol)
-    dts = np.diff(sol.times)
+    k, *space = np.nonzero(sol.h[1:] != sol.h[:-1])
+    went_up = sol.h[(k + 1, *space)] > sol.h[(k, *space)]
+    jump_idx = np.stack(space, axis=1)
+    wall_t, wall_idx = _vertical_walls(sol, level_tol, wall_min_steps)
 
-    gamma_alpha: list = []
-    gamma_beta: list = []
+    down = ~went_up
+    t_index = np.concatenate([k[down] + 1, k[went_up] + 1, wall_t])
+    idx = np.concatenate([jump_idx[down], jump_idx[went_up], wall_idx])
+    n_alpha = int(down.sum())
+    n_jump = k.size
+    kind = np.repeat(
+        np.array([JUMP_DOWN, JUMP_UP, VERTICAL_WALL], dtype=np.int8),
+        [n_alpha, n_jump - n_alpha, wall_t.size],
+    )
 
-    flips = sol.h[1:] != sol.h[:-1]
-    for k, spatial in zip(*_nonzero_slices(flips)):
-        for idx in spatial:
-            kk = k + 1
-            went_up = sol.h[kk][idx] > sol.h[k][idx]
-            uval = float(sol.u[kk][idx])
-            ev = FbEvent(
-                location=SpaceTimePoint(int(kk), idx),
-                kind=JUMP_UP if went_up else JUMP_DOWN,
-                u_value=uval,
-                grad_norm=float(gn[kk][idx]),
-                dt_u=float((sol.u[kk][idx] - sol.u[k][idx]) / dts[k]),
-            )
-            (gamma_beta if went_up else gamma_alpha).append(ev)
+    at = (t_index, *idx.T)
+    u = sol.u[at]
+    gn = grad_norm_stack(sol)
+    grad_norm = gn[at]
+    dt_u = np.zeros(t_index.size)
+    later = t_index >= 1
+    prev = (t_index[later] - 1, *idx[later].T)
+    dt_u[later] = (u[later] - sol.u[prev]) / np.diff(sol.times)[prev[0]]
 
-    gamma_v = _vertical_walls(sol, gn, dts, level_tol, wall_min_steps)
-
-    jumps = gamma_alpha + gamma_beta
-    gamma_0 = [e for e in jumps if e.grad_norm <= grad_tol]
-    gamma_star = [e for e in jumps if e.grad_norm > grad_tol]
-
+    jumps = np.arange(n_jump)
     return FreeBoundaryAtlas(
-        gamma_alpha=gamma_alpha,
-        gamma_beta=gamma_beta,
-        gamma_v=gamma_v,
-        gamma_0=gamma_0,
-        gamma_star=gamma_star,
-        omega_plus=sol.h > 0,
-        omega_minus=sol.h < 0,
+        t_index=t_index,
+        idx=idx,
+        kind=kind,
+        u=u,
+        grad_norm=grad_norm,
+        dt_u=dt_u,
+        gamma_alpha=jumps[:n_alpha],
+        gamma_beta=jumps[n_alpha:],
+        gamma_v=np.arange(n_jump, t_index.size),
+        gamma_0=jumps[grad_norm[:n_jump] <= grad_tol],
+        gamma_star=jumps[grad_norm[:n_jump] > grad_tol],
+        grad_norm_stack=gn,
         level_tol=level_tol,
         grad_tol=grad_tol,
         wall_min_steps=wall_min_steps,
-        params={"alpha": th.alpha, "beta": th.beta},
     )
 
 
-def _nonzero_slices(flips: np.ndarray):
-    """Per-time-slice lists of flipped spatial indices."""
-    ks = []
-    spatials = []
-    for k in range(flips.shape[0]):
-        nz = np.nonzero(flips[k])
-        if nz[0].size:
-            ks.append(k)
-            spatials.append(list(zip(*nz)))
-    return ks, spatials
-
-
-def _vertical_walls(sol, gn, dts, level_tol, wall_min_steps):
+def _vertical_walls(sol, level_tol, wall_min_steps):
     """Faces with opposite relay states and both values strictly in the band,
-    persisting for at least ``wall_min_steps`` consecutive snapshots."""
+    persisting for at least ``wall_min_steps`` consecutive snapshots.
+
+    Returns (t_index, idx) of both endpoints of every qualifying face, axis
+    by axis, then slice by slice, faces in C order.
+    """
     th = sol.thresholds
     lo, hi = th.alpha + level_tol, th.beta - level_tol
-    events = []
+    dim = sol.grid.dim
+    ts, idxs = [], []
     K = sol.num_snapshots
-    for axis in range(sol.grid.dim):
-        sl_a = [slice(None)] * sol.grid.dim
-        sl_b = [slice(None)] * sol.grid.dim
-        sl_a[axis] = slice(None, -1)
-        sl_b[axis] = slice(1, None)
+    for axis in range(dim):
+        sl_a = [slice(None)] * (dim + 1)
+        sl_b = [slice(None)] * (dim + 1)
+        sl_a[axis + 1] = slice(None, -1)
+        sl_b[axis + 1] = slice(1, None)
         sl_a, sl_b = tuple(sl_a), tuple(sl_b)
-        ha, hb = sol.h[(slice(None),) + sl_a], sol.h[(slice(None),) + sl_b]
-        ua, ub = sol.u[(slice(None),) + sl_a], sol.u[(slice(None),) + sl_b]
+        ha, hb = sol.h[sl_a], sol.h[sl_b]
+        ua, ub = sol.u[sl_a], sol.u[sl_b]
         active = (ha != hb) & (ua > lo) & (ua < hi) & (ub > lo) & (ub < hi)
         # forward run length ending at each slice
         runs = np.zeros(active.shape, dtype=np.int64)
@@ -184,34 +189,13 @@ def _vertical_walls(sol, gn, dts, level_tol, wall_min_steps):
         for k in range(K - 2, -1, -1):
             cont = active[k] & active[k + 1]
             np.maximum(peak[k], np.where(cont, peak[k + 1], 0), out=peak[k])
-        qualifying = active & (peak >= wall_min_steps)
-        for k in range(K):
-            faces = np.nonzero(qualifying[k])
-            if faces[0].size == 0:
-                continue
-            for face in zip(*faces):
-                for side_idx in (face, _shift(face, axis)):
-                    events.append(
-                        FbEvent(
-                            location=SpaceTimePoint(int(k), side_idx),
-                            kind=VERTICAL_WALL,
-                            u_value=float(sol.u[k][side_idx]),
-                            grad_norm=float(gn[k][side_idx]),
-                            dt_u=float(
-                                (sol.u[k][side_idx] - sol.u[k - 1][side_idx])
-                                / dts[k - 1]
-                            )
-                            if k >= 1
-                            else 0.0,
-                        )
-                    )
-    return events
-
-
-def _shift(face, axis):
-    out = list(face)
-    out[axis] += 1
-    return tuple(out)
+        t, *face = np.nonzero(active & (peak >= wall_min_steps))
+        face = np.stack(face, axis=1)
+        other = face.copy()
+        other[:, axis] += 1
+        ts.append(np.repeat(t, 2))
+        idxs.append(np.stack([face, other], axis=1).reshape(-1, dim))
+    return np.concatenate(ts), np.concatenate(idxs)
 
 
 def separation_check(
@@ -236,8 +220,10 @@ def separation_check(
 
     near_a = (np.abs(sol.u - th.alpha) <= level_tol) & interior[None]
     near_b = (np.abs(sol.u - th.beta) <= level_tol) & interior[None]
-    pts_a = _points_with_coords(sol, near_a)
-    pts_b = _points_with_coords(sol, near_b)
+    pts_a, pts_b = (
+        space_time_coords(sol, nz[0], nz[1:])
+        for nz in (np.nonzero(near_a), np.nonzero(near_b))
+    )
     if pts_a.shape[0] == 0 or pts_b.shape[0] == 0:
         return cap
 
@@ -252,33 +238,27 @@ def separation_check(
     return best
 
 
-def _points_with_coords(sol: SpaceTimeSolution, mask: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(mask)
-    if nz[0].size == 0:
-        return np.empty((0, 1 + sol.grid.dim))
-    axes = sol.grid.axes()
-    cols = [sol.times[nz[0]]]
-    for a in range(sol.grid.dim):
-        cols.append(axes[a][nz[1 + a]])
-    return np.stack(cols, axis=1)
-
-
 ATLAS_COLUMNS_1D = ["t_index", "x_index", "kind", "u_value", "grad_norm", "dt_u"]
 ATLAS_COLUMNS_2D = [
     "t_index", "x_index", "y_index", "kind", "u_value", "grad_norm", "dt_u"
 ]
+KIND_NAMES = ("JumpDown", "JumpUp", "VerticalWall")
 
 
 def write_atlas_csv(atlas: FreeBoundaryAtlas, path, dim: int) -> None:
+    """All events sorted by (t_index, spatial index, kind name)."""
     cols = ATLAS_COLUMNS_1D if dim == 1 else ATLAS_COLUMNS_2D
-    events = sorted(
-        atlas.gamma_alpha + atlas.gamma_beta + atlas.gamma_v,
-        key=lambda e: (e.location.t_index, e.location.idx, e.kind),
-    )
+    order = np.lexsort((atlas.kind, *atlas.idx.T[::-1], atlas.t_index))
+    names = [KIND_NAMES[c] for c in atlas.kind[order].tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for e in events:
-            row = [e.location.t_index, *e.location.idx, e.kind,
-                   repr(e.u_value), repr(e.grad_norm), repr(e.dt_u)]
-            writer.writerow(row)
+        for t, idx, name, u, gn, dtu in zip(
+            atlas.t_index[order].tolist(),
+            atlas.idx[order].tolist(),
+            names,
+            atlas.u[order].tolist(),
+            atlas.grad_norm[order].tolist(),
+            atlas.dt_u[order].tolist(),
+        ):
+            writer.writerow([t, *idx, name, repr(u), repr(gn), repr(dtu)])

@@ -17,7 +17,7 @@ membership is strict (the open ball excludes points at distance exactly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -250,16 +250,15 @@ def cylinder_points(
     return pts
 
 
-def _as_point_array(sol: SpaceTimeSolution, S: Iterable) -> np.ndarray:
-    """(t, x-coords) rows for a collection of SpaceTimePoint-likes."""
-    rows = []
+def space_time_coords(sol: SpaceTimeSolution, t_index, idx) -> np.ndarray:
+    """(t, x...) coordinate rows of grid points.
+
+    ``t_index`` holds n time indices and ``idx`` one length-n index array
+    per spatial axis, the layout ``np.nonzero`` returns.
+    """
     axes = sol.grid.axes()
-    for p in S:
-        k, idx = p
-        rows.append(
-            [sol.times[k]] + [axes[a][i] for a, i in enumerate(np.atleast_1d(idx))]
-        )
-    return np.asarray(rows, dtype=float)
+    cols = [sol.times[t_index]] + [axes[a][i] for a, i in enumerate(idx)]
+    return np.stack(cols, axis=1)
 
 
 def parabolic_distance(
@@ -269,20 +268,20 @@ def parabolic_distance(
 
     Computed in closed form: a point of S at spatial distance d and time
     lag dt below z first enters the lower cylinder at radius
-    ``max(d, sqrt(dt))``; points above z never enter.  Returns the cap
-    when S is empty or never intersected.
+    ``max(d, sqrt(dt))``; points above z never enter.  S holds the
+    (t, x...) rows of ``space_time_coords``.  Returns the cap when S is
+    empty or never intersected.
     """
     cap = sol.r_max() if r_max is None else float(r_max)
-    pts = _as_point_array(sol, S) if not isinstance(S, np.ndarray) else S
-    if pts.size == 0:
+    if S.size == 0:
         return cap
     t0 = sol.times[z.t_index]
     x0 = sol.grid.coords(z.idx)
-    lag = t0 - pts[:, 0]
+    lag = t0 - S[:, 0]
     below = lag >= -_SLACK
     if not below.any():
         return cap
-    d = np.sqrt(((pts[below, 1:] - x0[None, :]) ** 2).sum(axis=1))
+    d = np.sqrt(((S[below, 1:] - x0[None, :]) ** 2).sum(axis=1))
     crit = np.maximum(d, np.sqrt(np.maximum(lag[below], 0.0)))
     return float(min(cap, crit.min()))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +118,10 @@ def load_manifest(run_dir) -> dict:
     path = Path(run_dir) / MANIFEST_NAME
     if not path.exists():
         raise DataIntegrityError(f"manifest not found: {path}")
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataIntegrityError(f"unreadable manifest {path}: {exc}") from exc
 
 
 def verify_manifest(run_dir) -> dict:
@@ -146,7 +148,6 @@ def verify_manifest(run_dir) -> dict:
 def save_run(sol: SpaceTimeSolution, cfg: ScenarioConfig, run_dir) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
     save_config(cfg, run_dir / CONFIG_NAME)
     for k in range(sol.num_snapshots):
         t = float(sol.times[k])
@@ -160,7 +161,6 @@ def save_run(sol: SpaceTimeSolution, cfg: ScenarioConfig, run_dir) -> Path:
         {
             "sup_bound_M": sol.sup_bound_M,
             "num_snapshots": sol.num_snapshots,
-            "wall_time_s": time.monotonic() - t0,
         },
     )
     return run_dir
@@ -183,8 +183,11 @@ def load_run(run_dir, verify: bool = True) -> tuple:
             raise DataIntegrityError(f"missing snapshot pair {k} in {run_dir}")
         t, u = read_snapshot_csv(up)
         _, h = read_snapshot_csv(hp)
-        if u.reshape(g.shape).shape != g.shape:
-            raise DataIntegrityError(f"snapshot {k} shape mismatch")
+        if u.size != us[k].size or h.size != us[k].size:
+            raise DataIntegrityError(
+                f"snapshot {k} holds {u.size} u and {h.size} h values, "
+                f"grid {g.shape} needs {us[k].size}"
+            )
         times[k] = t
         us[k] = u.reshape(g.shape)
         hs[k] = h.reshape(g.shape)
@@ -259,8 +262,7 @@ def _phi_tables(sol, atlas, radii) -> list:
 
     tables = []
     r_need = max(radii)
-    for ev in atlas.gamma_0[:4]:
-        z = ev.location
+    for z in atlas.points(atlas.gamma_0[:4]):
         t_depth = float(sol.times[z.t_index] - sol.times[0])
         gap = sol.grid.boundary_gap(z.idx)
         if t_depth < r_need**2 or gap < r_need:
@@ -285,7 +287,6 @@ def _summary(sol, cfg, atlas, samples, phi_tables, signs, profile) -> dict:
             "gamma_0": len(atlas.gamma_0),
             "gamma_star": len(atlas.gamma_star),
         },
-        "gamma_v_count": len(atlas.gamma_v),
         "tolerances": {
             "level_tol": atlas.level_tol,
             "grad_tol": atlas.grad_tol,

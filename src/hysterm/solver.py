@@ -95,9 +95,3 @@ def run(cfg: ScenarioConfig) -> SpaceTimeSolution:
         grid=g, thresholds=th, times=times, u=us, h=hs, sup_bound_M=sup_m
     )
 
-
-def freeze_hysteresis(cfg: ScenarioConfig) -> SpaceTimeSolution:
-    """Run with the relay field held constant (test hook)."""
-    if not cfg.freeze_h:
-        cfg = ScenarioConfig(**{**cfg.to_dict(), "freeze_h": True})
-    return run(cfg)

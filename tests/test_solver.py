@@ -7,7 +7,7 @@ from hysterm.config import config_from_dict
 from hysterm.errors import CFLError, ConfigError
 from hysterm.grid import BC_DIRICHLET, Grid
 from hysterm.relay import Thresholds
-from hysterm.solver import cfl_limit, freeze_hysteresis, run, step
+from hysterm.solver import cfl_limit, run, step
 
 from conftest import fourier_heat_oracle, frozen_heat_config
 
@@ -116,9 +116,9 @@ class TestFrozenHeat:
 
     def test_freeze_hysteresis_hook(self):
         cfg = homogeneous_config(
-            preset={"kind": "homogeneous", "u0": 0.5, "h0": 1}, T=2.0
+            preset={"kind": "homogeneous", "u0": 0.5, "h0": 1}, T=2.0, freeze_h=True
         )
-        sol = freeze_hysteresis(cfg)
+        sol = run(cfg)
         assert (sol.h == 1).all()
         assert np.allclose(sol.u[-1], 0.5 - 2.0, atol=1e-10)
 
