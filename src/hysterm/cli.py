@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_from_dict, load_config
+from .config import config_from_dict, load_config, whole_steps
 from .errors import ConfigError, DiagnosticError, HystermError
 from .reports import analyze_run, save_run
 from .solver import run as solver_run
@@ -155,7 +156,13 @@ def cmd_sweep(args) -> int:
 
 
 def measure_oscillator_period(alpha: float, beta: float, dt: float):
-    """Run the homogeneous scenario and return (period, expected)."""
+    """Run the homogeneous scenario and return (period, expected).
+
+    The run spans five half-periods, rounded up to a whole number of steps.
+    """
+    span = 5.0 * (beta - alpha)
+    # a dt <= 0 is left for the config validation to report
+    T = span if dt <= 0 or whole_steps(span, dt) else math.ceil(span / dt) * dt
     cfg = config_from_dict(
         {
             "name": "selftest_oscillator",
@@ -163,7 +170,7 @@ def measure_oscillator_period(alpha: float, beta: float, dt: float):
             "extent": [1.0],
             "nx": [11],
             "dt": dt,
-            "T": 5.0 * (beta - alpha),
+            "T": T,
             "alpha": alpha,
             "beta": beta,
             "bc": {"kind": "neumann"},

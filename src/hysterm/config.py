@@ -8,6 +8,7 @@ invariant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,9 @@ _TOP_KEYS = {
 }
 
 _BC_KEYS = {"kind", "value"}
+
+# relative slack of T / dt against a whole step count: float rounding only
+_STEP_SLACK = 1e-12
 
 
 @dataclass
@@ -86,6 +90,15 @@ class ScenarioConfig:
         }
 
 
+def whole_steps(T: float, dt: float) -> int | None:
+    """T / dt when it is a positive whole number up to float rounding."""
+    ratio = T / dt
+    if not (math.isfinite(ratio) and ratio >= 0.5):
+        return None
+    n = round(ratio)
+    return n if abs(ratio - n) <= _STEP_SLACK * n else None
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
@@ -101,6 +114,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"T must be positive, got {cfg.T}")
     if cfg.dt <= 0:
         raise ConfigError(f"dt must be positive, got {cfg.dt}")
+    if whole_steps(cfg.T, cfg.dt) is None:
+        raise ConfigError(
+            f"T={cfg.T} is not a whole multiple of dt={cfg.dt}"
+        )
     if not 0 < cfg.cfl_safety <= 1:
         raise ConfigError(f"cfl_safety must be in ]0,1], got {cfg.cfl_safety}")
     if cfg.dt > cfg.cfl_bound:

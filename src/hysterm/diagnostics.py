@@ -109,34 +109,22 @@ def weighted_energy_I(
         raise ValueError("integration slab exceeds stored snapshots")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     w = _trapezoid_weights(g)
-    axes = g.axes()
-    if g.dim == 1:
-        offsets = axes[0] - x_star[0]
-    else:
-        offsets = np.stack(
-            [
-                np.broadcast_to(axes[0][:, None] - x_star[0], g.shape),
-                np.broadcast_to(axes[1][None, :] - x_star[1], g.shape),
-            ],
-            axis=-1,
-        )
+    offsets = np.stack([x - c for x, c in zip(g.mesh(), x_star)], axis=-1)
 
-    grad_sq = {}
-
-    def gsq(k):
-        if k not in grad_sq:
-            grad_sq[k] = (gradient(v_stack[k], g) ** 2).sum(axis=0)
-        return grad_sq[k]
+    # cells [times[k], times[k+1]] that overlap the slab ]t_lo, t_star[
+    lo_end, hi_end = times[:t_star_index], times[1 : t_star_index + 1]
+    cells = np.nonzero((hi_end > t_lo + _SLACK) & (lo_end < t_star - _SLACK))[0]
+    if cells.size == 0:
+        return 0.0
+    first = cells[0]
+    gsq = (gradient(v_stack[first : t_star_index + 1], g) ** 2).sum(axis=0)
 
     total = 0.0
-    for k in range(t_star_index):
-        a, b = times[k], times[k + 1]
-        if b <= t_lo + _SLACK or a >= t_star - _SLACK:
-            continue
-        a_eff = max(a, t_lo)
+    for k in cells:
+        a_eff, b = max(times[k], t_lo), times[k + 1]
         mid = 0.5 * (a_eff + b)
         kern = heat_kernel(offsets, t_star - mid, g.dim)
-        integrand = 0.5 * (gsq(k) + gsq(k + 1))
+        integrand = 0.5 * (gsq[k - first] + gsq[k + 1 - first])
         total += (b - a_eff) * float((integrand * kern * w).sum())
     return total
 
@@ -174,19 +162,7 @@ def phi_from_pair(
     if radii[-1] > rho0 + _SLACK:
         raise ValueError("radii must not exceed rho0")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    axes = g.axes()
-    if g.dim == 1:
-        pts = axes[0][:, None]
-    else:
-        pts = np.stack(
-            [
-                np.broadcast_to(axes[0][:, None], g.shape),
-                np.broadcast_to(axes[1][None, :], g.shape),
-            ],
-            axis=-1,
-        )
-    xi = cutoff(pts, x_star, rho0)
-    xi = xi.reshape(g.shape)
+    xi = cutoff(np.stack(g.mesh(), axis=-1), x_star, rho0)
 
     phi_vals = []
     for r in radii:
@@ -226,13 +202,7 @@ def _nearest_index(g: Grid, x: np.ndarray) -> tuple:
 
 def _cylinder_l2_sq(g, times, v_stack, x_star, t_star_index, rho0) -> float:
     t_star = times[t_star_index]
-    axes = g.axes()
-    if g.dim == 1:
-        d2 = (axes[0] - x_star[0]) ** 2
-    else:
-        d2 = (axes[0][:, None] - x_star[0]) ** 2 + (
-            axes[1][None, :] - x_star[1]
-        ) ** 2
+    d2 = sum((x - c) ** 2 for x, c in zip(g.mesh(), x_star))
     mask = d2 < rho0 * rho0
     w = _trapezoid_weights(g)
     total = 0.0
@@ -251,11 +221,8 @@ def directional_derivative_stack(
     """D_e u per snapshot for a unit direction e."""
     e = np.asarray(e, dtype=float)
     e = e / np.linalg.norm(e)
-    out = np.empty_like(sol.u)
-    for k in range(sol.num_snapshots):
-        gvec = gradient(sol.u[k], sol.grid)
-        out[k] = sum(e[a] * gvec[a] for a in range(sol.grid.dim))
-    return out
+    gvec = gradient(sol.u, sol.grid)
+    return sum(e[a] * gvec[a] for a in range(sol.grid.dim))
 
 
 def probe_directions(dim: int) -> list:
@@ -538,40 +505,29 @@ def regularity_profile(
         np.linspace(1, sol.num_snapshots - 1, n_time).astype(int)
     )
 
-    margin = 2
-    interior_flat = []
-    it = np.ndindex(*sol.grid.shape)
-    for idx in it:
-        if all(
-            margin <= i <= n - 1 - margin for i, n in zip(idx, sol.grid.nx)
-        ):
-            interior_flat.append(idx)
-    if not interior_flat:
+    interior = np.argwhere(sol.grid.interior()).tolist()
+    if not interior:
         return RegularityProfile(samples=[], r_cap=cap)
     s_picks = np.unique(
-        np.linspace(0, len(interior_flat) - 1, n_space).astype(int)
+        np.linspace(0, len(interior) - 1, n_space).astype(int)
     )
 
-    hess_cache = {}
-    dtu_cache = {}
+    hess = np.abs(hessian(sol.u[t_picks], sol.grid)).max(axis=(0, 1))
+    dtu = np.abs(time_derivative(sol, t_picks))
     samples = []
-    for k in t_picks:
-        if k not in hess_cache:
-            hmat = hessian(sol.u[k], sol.grid)
-            hess_cache[k] = np.abs(hmat).max(axis=(0, 1))
-            dtu_cache[k] = np.abs(time_derivative(sol, int(k)))
+    for j, k in enumerate(t_picks.tolist()):
         for si in s_picks:
-            idx = interior_flat[si]
+            idx = tuple(interior[si])
             if on_event[(k, *idx)]:
                 continue
-            z = SpaceTimePoint(int(k), idx)
+            z = SpaceTimePoint(k, idx)
             samples.append(
                 ProfileSample(
                     point=z,
                     dist_to_gamma_v=parabolic_distance(z, wall_pts, sol),
                     dist_to_boundary=boundary_distance(sol, z),
-                    abs_dt_u=float(dtu_cache[k][idx]),
-                    hess_norm=float(hess_cache[k][idx]),
+                    abs_dt_u=float(dtu[j][idx]),
+                    hess_norm=float(hess[j][idx]),
                 )
             )
     return RegularityProfile(samples=samples, r_cap=cap)

@@ -79,11 +79,9 @@ def default_level_tol(sol: SpaceTimeSolution) -> float:
     dts = np.diff(sol.times)
     dt = float(dts.min()) if dts.size else 0.0
     dx2 = min(sol.grid.dx) ** 2
-    drift = 1.0
     probe = np.unique(np.linspace(0, sol.num_snapshots - 1, 5).astype(int))
-    for k in probe:
-        resid = laplacian(sol.u[k], sol.grid) - sol.h[k]
-        drift = max(drift, float(np.abs(resid).max()))
+    resid = laplacian(sol.u[probe], sol.grid) - sol.h[probe]
+    drift = max(1.0, float(np.abs(resid).max()))
     return max(1e-8, 2.0 * (dt + dx2) * drift)
 
 
@@ -93,12 +91,12 @@ def default_grad_tol(sol: SpaceTimeSolution) -> float:
 
 
 def grad_norm_stack(sol: SpaceTimeSolution) -> np.ndarray:
-    """|Du| at every stored snapshot."""
-    out = np.empty_like(sol.u)
-    for k in range(sol.num_snapshots):
-        gvec = gradient(sol.u[k], sol.grid)
-        out[k] = np.sqrt((gvec**2).sum(axis=0))
-    return out
+    """|Du| at every stored snapshot, accumulated in the gradient's buffer."""
+    grad = gradient(sol.u, sol.grid)
+    norm = np.square(grad[0], out=grad[0])
+    for comp in grad[1:]:
+        norm += np.square(comp, out=comp)
+    return np.sqrt(norm, out=norm)
 
 
 def classify(
@@ -203,21 +201,13 @@ def separation_check(
 ) -> float:
     """Minimum parabolic distance between the two discrete level sets.
 
-    Samples the interior region (two cells away from the spatial boundary)
-    and returns the cap when either set is empty.
+    Samples the grid interior (``Grid.interior``) and returns the cap when
+    either set is empty.
     """
     level_tol = default_level_tol(sol) if level_tol is None else float(level_tol)
     th = sol.thresholds
     cap = sol.r_max()
-    margin = 2
-    interior = np.ones(sol.grid.shape, dtype=bool)
-    for axis in range(sol.grid.dim):
-        sl = [slice(None)] * sol.grid.dim
-        sl[axis] = slice(0, margin)
-        interior[tuple(sl)] = False
-        sl[axis] = slice(-margin, None)
-        interior[tuple(sl)] = False
-
+    interior = sol.grid.interior()
     near_a = (np.abs(sol.u - th.alpha) <= level_tol) & interior[None]
     near_b = (np.abs(sol.u - th.beta) <= level_tol) & interior[None]
     pts_a, pts_b = (

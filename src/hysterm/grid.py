@@ -3,8 +3,10 @@
 Fields live on a uniform tensor grid in one or two space dimensions.
 Discrete derivatives use second-order central stencils in the interior and
 first-order one-sided stencils at the spatial boundary; diagnostics that
-care about stencil order only sample points at least two cells away from
-the boundary.
+care about stencil order only sample ``Grid.interior()``, the points at
+least ``INTERIOR_MARGIN`` cells away from the boundary.  The derivative
+operators act on the trailing ``dim`` axes, so a ``(K,) + shape`` snapshot
+stack goes through in one call.
 
 Parabolic cylinders and the parabolic distance follow parabolic scaling:
 the lower cylinder of radius ``r`` at ``z0 = (x0, t0)`` collects grid
@@ -24,6 +26,10 @@ import numpy as np
 from .relay import Thresholds
 
 _SLACK = 1e-12
+
+#: Cells between the spatial boundary and the interior sample region: the
+#: one-sided boundary stencils and their neighbours stay outside it.
+INTERIOR_MARGIN = 2
 
 BC_NEUMANN = "neumann"
 BC_DIRICHLET = "dirichlet"
@@ -77,6 +83,17 @@ class Grid:
     def axes(self) -> list:
         return [np.linspace(0.0, e, n) for e, n in zip(self.extent, self.nx)]
 
+    def mesh(self) -> list:
+        """Coordinate arrays of shape ``self.shape``, one per axis."""
+        return np.meshgrid(*self.axes(), indexing="ij")
+
+    def interior(self) -> np.ndarray:
+        """Mask of the points at least INTERIOR_MARGIN cells from the boundary."""
+        mask = np.zeros(self.shape, dtype=bool)
+        m = INTERIOR_MARGIN
+        mask[tuple(slice(m, n - m) for n in self.nx)] = True
+        return mask
+
     def coords(self, idx: Sequence[int]) -> np.ndarray:
         return np.array([ax[i] for ax, i in zip(self.axes(), idx)])
 
@@ -94,8 +111,8 @@ class Grid:
 
 def _check_field(f: np.ndarray, g: Grid) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if f.shape != g.shape:
-        raise ValueError(f"field shape {f.shape} does not match grid {g.shape}")
+    if f.shape[-g.dim:] != g.shape:
+        raise ValueError(f"field shape {f.shape} does not end in grid {g.shape}")
     return f
 
 
@@ -106,31 +123,30 @@ def _second_diff(f: np.ndarray, axis: int, dx: float, g: Grid) -> np.ndarray:
     there (boundary nodes are pinned by the solver, so their stencil value
     is never consumed).
     """
-    out = np.zeros_like(f)
-    fm = np.roll(f, 1, axis=axis)
-    fp = np.roll(f, -1, axis=axis)
-    lap = (fp - 2.0 * f + fm) / (dx * dx)
-    interior = [slice(None)] * f.ndim
-    interior[axis] = slice(1, -1)
-    out[tuple(interior)] = lap[tuple(interior)]
+
+    def at(s):
+        return (slice(None),) * axis + (s,)
+
+    h2 = dx * dx
+    out = np.empty_like(f)
+    out[at(slice(1, -1))] = (
+        f[at(slice(2, None))] - 2.0 * f[at(slice(1, -1))] + f[at(slice(None, -2))]
+    ) / h2
     if g.bc_kind == BC_NEUMANN:
-        lo = [slice(None)] * f.ndim
-        hi = [slice(None)] * f.ndim
-        lo[axis], hi[axis] = 0, f.shape[axis] - 1
-        lo1 = list(lo)
-        hi1 = list(hi)
-        lo1[axis], hi1[axis] = 1, f.shape[axis] - 2
-        out[tuple(lo)] = 2.0 * (f[tuple(lo1)] - f[tuple(lo)]) / (dx * dx)
-        out[tuple(hi)] = 2.0 * (f[tuple(hi1)] - f[tuple(hi)]) / (dx * dx)
+        out[at(0)] = 2.0 * (f[at(1)] - f[at(0)]) / h2
+        out[at(-1)] = 2.0 * (f[at(-2)] - f[at(-1)]) / h2
+    else:
+        out[at(0)] = out[at(-1)] = 0.0
     return out
 
 
 def laplacian(f: np.ndarray, g: Grid) -> np.ndarray:
     """Second-order central Laplacian (3-point in 1D, 5-point in 2D)."""
     f = _check_field(f, g)
-    out = np.zeros_like(f)
-    for axis, d in enumerate(g.dx):
-        out += _second_diff(f, axis, d, g)
+    lead = f.ndim - g.dim
+    out = _second_diff(f, lead, g.dx[0], g)
+    for axis in range(1, g.dim):
+        out += _second_diff(f, lead + axis, g.dx[axis], g)
     return out
 
 
@@ -140,8 +156,11 @@ def gradient(f: np.ndarray, g: Grid) -> np.ndarray:
     Returns an array of shape ``(dim,) + f.shape``.
     """
     f = _check_field(f, g)
-    grads = np.gradient(f, *g.dx) if g.dim > 1 else [np.gradient(f, g.dx[0])]
-    return np.stack(grads)
+    lead = f.ndim - g.dim
+    out = np.empty((g.dim,) + f.shape)
+    for axis, d in enumerate(g.dx):
+        out[axis] = np.gradient(f, d, axis=lead + axis)
+    return out
 
 
 def hessian(f: np.ndarray, g: Grid) -> np.ndarray:
@@ -152,15 +171,13 @@ def hessian(f: np.ndarray, g: Grid) -> np.ndarray:
     entries use the central cross stencil.
     """
     f = _check_field(f, g)
-    n = g.dim
-    out = np.zeros((n, n) + f.shape)
-    for i in range(n):
-        out[i, i] = _second_diff(f, i, g.dx[i], g)
-    if n == 2:
-        gx = np.gradient(f, g.dx[0], axis=0)
-        gxy = np.gradient(gx, g.dx[1], axis=1)
-        out[0, 1] = gxy
-        out[1, 0] = gxy
+    lead = f.ndim - g.dim
+    out = np.empty((g.dim, g.dim) + f.shape)
+    for i, d in enumerate(g.dx):
+        out[i, i] = _second_diff(f, lead + i, d, g)
+    if g.dim == 2:
+        gx = np.gradient(f, g.dx[0], axis=lead)
+        out[0, 1] = out[1, 0] = np.gradient(gx, g.dx[1], axis=lead + 1)
     return out
 
 
@@ -200,20 +217,21 @@ class SpaceTimeSolution:
         return max(self.grid.diameter(), float(np.sqrt(max(t_span, 0.0))), 1e-30)
 
 
-def time_derivative(sol: SpaceTimeSolution, k: int) -> np.ndarray:
-    """Backward difference quotient of u between snapshots k-1 and k."""
-    if k < 1:
+def time_derivative(sol: SpaceTimeSolution, k) -> np.ndarray:
+    """Backward difference quotient of u between snapshots k-1 and k.
+
+    ``k`` is one snapshot index or an array of them.
+    """
+    k = np.asarray(k)
+    if (k < 1).any():
         raise ValueError("time_derivative needs k >= 1")
     tau = sol.times[k] - sol.times[k - 1]
+    tau = np.reshape(tau, tau.shape + (1,) * sol.grid.dim)
     return (sol.u[k] - sol.u[k - 1]) / tau
 
 
 def _spatial_mask(g: Grid, x0: np.ndarray, r: float) -> np.ndarray:
-    axes = g.axes()
-    if g.dim == 1:
-        d2 = (axes[0] - x0[0]) ** 2
-    else:
-        d2 = (axes[0][:, None] - x0[0]) ** 2 + (axes[1][None, :] - x0[1]) ** 2
+    d2 = sum((x - c) ** 2 for x, c in zip(g.mesh(), x0))
     return d2 < (r - _SLACK) ** 2 if r > _SLACK else d2 < 0
 
 

@@ -101,18 +101,11 @@ def build_grid(cfg: ScenarioConfig) -> Grid:
     )
 
 
-def _mesh(g: Grid):
-    axes = g.axes()
-    if g.dim == 1:
-        return (axes[0],)
-    return np.meshgrid(axes[0], axes[1], indexing="ij")
-
-
 def initial_data(cfg: ScenarioConfig, g: Grid):
     """Returns (u0 field, h_hint field) for the configured preset."""
     p = cfg.preset
     kind = p["kind"]
-    xs = _mesh(g)
+    xs = g.mesh()
     if kind == "homogeneous":
         u0 = np.full(g.shape, float(p["u0"]))
         hint = np.full(g.shape, int(p["h0"]), dtype=np.int8)

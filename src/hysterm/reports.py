@@ -2,7 +2,8 @@
 
 A run directory holds the scenario config, one CSV pair per stored
 snapshot (``u_XXXXXX.csv``, ``h_XXXXXX.csv``), 8-bit PGM heatmaps of the
-final slices, and ``manifest.json`` with a sha256 digest per file.
+final slices, and ``manifest.json`` with a sha256 digest of each of these
+files.
 Snapshots use shortest round-trip decimal formatting so reloading them is
 loss-free and reruns are byte-identical.
 
@@ -33,6 +34,7 @@ from .relay import Thresholds
 
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.json"
+MANIFEST_KEYS = {"config": dict, "files": dict, "num_snapshots": int}
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +61,11 @@ def read_snapshot_csv(path) -> tuple:
     if not text or not text[0].startswith("# t="):
         raise DataIntegrityError(f"missing '# t=' header in {path}")
     t = float(text[0][4:])
-    rows = [np.array([float(v) for v in line.split(",")]) for line in text[1:]]
-    arr = np.stack(rows) if len(rows) > 1 else rows[0]
-    return t, arr
+    try:
+        arr = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    except ValueError as exc:
+        raise DataIntegrityError(f"malformed snapshot rows in {path}: {exc}") from exc
+    return t, arr[0] if len(arr) == 1 else arr
 
 
 # ---------------------------------------------------------------------------
@@ -98,30 +102,20 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(run_dir, cfg: ScenarioConfig, extra: dict) -> None:
-    run_dir = Path(run_dir)
-    files = {}
-    for p in sorted(run_dir.iterdir()):
-        if p.name == MANIFEST_NAME or p.is_dir():
-            continue
-        files[p.name] = _sha256(p)
-    manifest = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "files": files,
-        **extra,
-    }
-    (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
-
-
 def load_manifest(run_dir) -> dict:
     path = Path(run_dir) / MANIFEST_NAME
     if not path.exists():
         raise DataIntegrityError(f"manifest not found: {path}")
     try:
-        return json.loads(path.read_text())
+        manifest = json.loads(path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataIntegrityError(f"unreadable manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataIntegrityError(f"manifest {path} is not a JSON object")
+    bad = [k for k, t in MANIFEST_KEYS.items() if not isinstance(manifest.get(k), t)]
+    if bad:
+        raise DataIntegrityError(f"manifest {path} lacks a valid {', '.join(bad)}")
+    return manifest
 
 
 def verify_manifest(run_dir) -> dict:
@@ -146,30 +140,36 @@ def verify_manifest(run_dir) -> dict:
 
 
 def save_run(sol: SpaceTimeSolution, cfg: ScenarioConfig, run_dir) -> Path:
+    """Write the run files and a manifest listing exactly those files.
+
+    Files already in ``run_dir`` that this run does not write stay out of
+    the manifest.
+    """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, run_dir / CONFIG_NAME)
-    for k in range(sol.num_snapshots):
-        t = float(sol.times[k])
-        write_snapshot_csv(run_dir / f"u_{k:06d}.csv", sol.u[k], t)
-        write_snapshot_csv(run_dir / f"h_{k:06d}.csv", sol.h[k], t)
+    written = [CONFIG_NAME, "u_final.pgm", "h_final.pgm"]
+    for k, t in enumerate(sol.times):
+        for kind, stack in (("u", sol.u), ("h", sol.h)):
+            written.append(f"{kind}_{k:06d}.csv")
+            write_snapshot_csv(run_dir / written[-1], stack[k], t)
     write_pgm(run_dir / "u_final.pgm", sol.u[-1])
     write_pgm(run_dir / "h_final.pgm", sol.h[-1])
-    write_manifest(
-        run_dir,
-        cfg,
-        {
-            "sup_bound_M": sol.sup_bound_M,
-            "num_snapshots": sol.num_snapshots,
-        },
-    )
+    manifest = {
+        "version": __version__,
+        "config": cfg.to_dict(),
+        "files": {name: _sha256(run_dir / name) for name in sorted(written)},
+        "sup_bound_M": sol.sup_bound_M,
+        "num_snapshots": sol.num_snapshots,
+    }
+    (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
     return run_dir
 
 
-def load_run(run_dir, verify: bool = True) -> tuple:
-    """Rebuild (solution, config) from a run directory."""
+def load_run(run_dir) -> tuple:
+    """Rebuild (solution, config) from a digest-verified run directory."""
     run_dir = Path(run_dir)
-    manifest = verify_manifest(run_dir) if verify else load_manifest(run_dir)
+    manifest = verify_manifest(run_dir)
     cfg = config_from_dict(manifest["config"])
     g = build_grid(cfg)
     n = int(manifest["num_snapshots"])
@@ -222,12 +222,11 @@ def analyze_run(
     grad_tol: float | None = None,
     level_tol: float | None = None,
     radii=None,
-    verify: bool = True,
 ) -> Path:
     """Classify, diagnose, and write the report files; returns the out dir."""
     from . import diagnostics as dg
 
-    sol, cfg = load_run(run_dir, verify=verify)
+    sol, cfg = load_run(run_dir)
     out_dir = Path(out_dir) if out_dir is not None else Path(run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

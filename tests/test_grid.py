@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from hysterm.free_boundary import grad_norm_stack
 from hysterm.grid import (
+    INTERIOR_MARGIN,
     Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
@@ -132,6 +134,57 @@ class TestGradientHessian:
         H = hessian(f, g)
         assert np.allclose((H[0, 0] + H[1, 1])[1:-1, 1:-1],
                            laplacian(f, g)[1:-1, 1:-1], atol=1e-9)
+
+
+STACK_GRIDS = [
+    pytest.param(Grid(extent=(2.0,), nx=(21,)), id="1d"),
+    pytest.param(Grid(extent=(1.0, 1.5), nx=(9, 13)), id="2d"),
+    pytest.param(
+        Grid(extent=(1.0, 1.5), nx=(9, 13), bc_kind="dirichlet"), id="2d_dirichlet"
+    ),
+]
+
+
+class TestSnapshotStacks:
+    """Operators on a (K,) + shape stack against the per-snapshot loop."""
+
+    @pytest.mark.parametrize("op", [laplacian, gradient, hessian])
+    @pytest.mark.parametrize("g", STACK_GRIDS)
+    def test_stack_matches_per_snapshot_loop(self, g, op):
+        stack = np.random.default_rng(5).normal(size=(4,) + g.shape)
+        # the snapshot axis follows the operator's component axes
+        axis = op(stack[0], g).ndim - g.dim
+        loop = np.stack([op(f, g) for f in stack], axis=axis)
+        assert np.array_equal(op(stack, g), loop)
+
+    @pytest.mark.parametrize("g", STACK_GRIDS)
+    def test_grad_norm_matches_per_snapshot_loop(self, g):
+        u = np.random.default_rng(6).normal(size=(3,) + g.shape)
+        sol = make_sol(g, [0.0, 0.1, 0.3], u=u)
+        loop = [np.sqrt((gradient(f, g) ** 2).sum(axis=0)) for f in u]
+        assert np.array_equal(grad_norm_stack(sol), np.stack(loop))
+
+    def test_time_derivative_index_array(self):
+        g = Grid(extent=(1.0, 1.0), nx=(5, 6))
+        u = np.random.default_rng(7).normal(size=(4,) + g.shape)
+        sol = make_sol(g, [0.0, 0.1, 0.3, 0.35], u=u)
+        loop = np.stack([time_derivative(sol, k) for k in (1, 3)])
+        assert np.array_equal(time_derivative(sol, np.array([1, 3])), loop)
+
+    def test_trailing_axes_must_match_grid(self):
+        g = Grid(extent=(1.0, 1.0), nx=(5, 6))
+        with pytest.raises(ValueError):
+            gradient(np.zeros((3, 6, 5)), g)
+
+    def test_mesh_and_interior(self):
+        g = Grid(extent=(1.0, 2.0), nx=(6, 9))
+        X, Y = g.mesh()
+        assert np.array_equal(X[:, 0], g.axes()[0])
+        assert np.array_equal(Y[0], g.axes()[1])
+        assert X.shape == Y.shape == g.shape
+        mask = g.interior()
+        assert mask.sum() == (6 - 2 * INTERIOR_MARGIN) * (9 - 2 * INTERIOR_MARGIN)
+        assert mask[2, 2] and not mask[1, 4] and not mask[4, 4]
 
 
 class TestTimeDerivative:

@@ -81,6 +81,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
 
+    def test_T_must_be_whole_multiple_of_dt(self):
+        with pytest.raises(ConfigError, match=r"T=0\.0505 .* dt=0\.001"):
+            config_from_dict(minimal_dict(T=0.0505, dt=1e-3))
+        # T / dt = 9999.999999999998 in floating point: a whole step count
+        cfg = config_from_dict(minimal_dict(T=0.3, dt=3e-5))
+        assert run(cfg).times[-1] == pytest.approx(0.3, rel=1e-12)
+
     def test_band_presets_validated(self):
         with pytest.raises(ConfigError, match="two_phase_wall"):
             config_from_dict(
@@ -167,6 +174,22 @@ class TestRunPersistence:
         target.write_bytes(bytes(raw))
         with pytest.raises(DataIntegrityError, match="digest mismatch"):
             verify_manifest(rd)
+
+    def test_manifest_lists_only_written_files(self, tmp_path):
+        """A shorter rerun into an analysed run directory leaves the old
+        snapshots and reports on disk but out of the manifest."""
+        rd = tmp_path / "rerun"
+        cfg = config_from_dict(minimal_dict(T=0.01))
+        analyze_run(save_run(run(cfg), cfg, rd))
+        cfg = config_from_dict(minimal_dict(T=0.005))
+        save_run(run(cfg), cfg, rd)
+        manifest = verify_manifest(rd)
+        assert manifest["num_snapshots"] == 6
+        assert (rd / "u_000010.csv").exists() and (rd / "atlas.csv").exists()
+        snapshots = [f"{v}_{k:06d}.csv" for k in range(6) for v in "uh"]
+        assert sorted(manifest["files"]) == sorted(
+            ["config.json", "u_final.pgm", "h_final.pgm", *snapshots]
+        )
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = config_from_dict(minimal_dict())
@@ -266,6 +289,49 @@ class TestCli:
         assert main(["analyze", str(rd)]) == 3
         assert "snapshot 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("files", None), ("config", None), ("num_snapshots", None),
+         ("files", []), ("num_snapshots", "6")],
+    )
+    def test_manifest_missing_or_malformed_key_exit_3(
+        self, tmp_path, capsys, key, value
+    ):
+        """None deletes the key; other values replace it."""
+        p, data = self.write_cfg(tmp_path, name="nokey")
+        assert main(["run", str(p)]) == 0
+        path = tmp_path / "nokey" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        assert main(["analyze", str(tmp_path / "nokey")]) == 3
+        assert key in capsys.readouterr().err
+
+    def test_ragged_2d_rows_exit_3(self, tmp_path, capsys):
+        """A 2D snapshot with one value moved to the next row, right total
+        count and digest updated to match."""
+        p, data = self.write_cfg(
+            tmp_path, name="ragged", dim=2, extent=[1.0, 1.0], nx=[5, 5],
+            dt=1e-3, T=0.01,
+        )
+        assert main(["run", str(p)]) == 0
+        rd = tmp_path / "ragged"
+        target = rd / "u_000002.csv"
+        header, *rows = target.read_text().splitlines()
+        first, moved = rows[0].rsplit(",", 1)
+        rows[0], rows[1] = first, moved + "," + rows[1]
+        target.write_text("\n".join([header, *rows]) + "\n")
+        manifest = json.loads((rd / "manifest.json").read_text())
+        manifest["files"][target.name] = hashlib.sha256(
+            target.read_bytes()
+        ).hexdigest()
+        (rd / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(rd)]) == 3
+        assert target.name in capsys.readouterr().err
+
     def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HYSTERM_THREADS", "abc")
         monkeypatch.chdir(tmp_path)
@@ -351,6 +417,12 @@ class TestCli:
         assert expected == 2.0 and abs(period - 2.0) <= 2e-3
         period, expected = measure_oscillator_period(0.0, 0.5, 1e-3)
         assert expected == 1.0 and abs(period - 1.0) <= 2e-3
+
+    def test_selftest_rounds_T_up_to_whole_steps(self):
+        """5 * (beta - alpha) = 2.0 is 2857.14 steps of 7e-4: the selftest
+        runs 2858 steps instead of a config that fails validation."""
+        period, expected = measure_oscillator_period(0.0, 0.4, 7e-4)
+        assert expected == 0.8 and abs(period - 0.8) <= 1.4e-3
 
     def test_selftest_cli_pass(self, capsys):
         assert (
