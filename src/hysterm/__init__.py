@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .config import ScenarioConfig, load_config, save_config
+from .config import ScenarioConfig, load_config
 from .errors import (
     CFLError,
     ConfigError,
@@ -12,6 +12,7 @@ from .errors import (
 )
 from .grid import Grid, SpaceTimePoint, SpaceTimeSolution
 from .relay import Thresholds
+from .reports import save_config
 
 __all__ = [
     "__version__",

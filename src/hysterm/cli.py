@@ -9,7 +9,6 @@ parallelism (default: hardware count).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -21,7 +20,7 @@ import numpy as np
 
 from .config import config_from_dict, load_config, whole_steps
 from .errors import ConfigError, DiagnosticError, HystermError
-from .reports import analyze_run, save_run
+from .reports import analyze_run, save_run, write_sweep_csv
 from .solver import run as solver_run
 
 
@@ -124,8 +123,6 @@ def cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     base = cfg.to_dict()
 
-    rows = [None] * len(values)
-
     def job(i):
         value = values[i]
         try:
@@ -140,16 +137,10 @@ def cmd_sweep(args) -> int:
             }
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for i, row in enumerate(pool.map(job, range(len(values)))):
-            rows[i] = row
+        rows = list(pool.map(job, range(len(values))))
 
     summary_path = out_root / "sweep_summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["value", "status", "gamma_v_count", "profile_max", "error"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    write_sweep_csv(rows, summary_path)
     n_fail = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep complete: {summary_path} ({len(rows)} rows, {n_fail} failed)")
     return 0

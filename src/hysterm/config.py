@@ -2,13 +2,14 @@
 
 Unknown keys are fatal so that programmatic sweeps catch typos.  All
 validation failures raise :class:`ConfigError` naming the violated
-invariant.
+invariant; nothing is truncated or coerced.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,9 +59,9 @@ class ScenarioConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        validate_config(self)
         self.extent = tuple(float(e) for e in self.extent)
         self.nx = tuple(int(n) for n in self.nx)
-        validate_config(self)
 
     @property
     def dx_min(self) -> float:
@@ -99,7 +100,32 @@ def whole_steps(T: float, dt: float) -> int | None:
     return n if abs(ratio - n) <= _STEP_SLACK * n else None
 
 
+_INT_KEYS = ("dim", "nx", "snapshot_stride", "seed", "preset.h0", "preset.modes")
+
+
+def _check_numbers(values: dict) -> None:
+    """Integer keys hold integers, the others finite numbers; no bools."""
+    for key, v in values.items():
+        integer = key.split("[")[0] in _INT_KEYS
+        if isinstance(v, bool) or not (
+            isinstance(v, numbers.Integral) if integer
+            else isinstance(v, numbers.Real) and math.isfinite(v)
+        ):
+            need = "an integer" if integer else "a finite number"
+            raise ConfigError(f"{key} must be {need}, got {v!r}")
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
+    _check_numbers({
+        "dim": cfg.dim, "snapshot_stride": cfg.snapshot_stride, "seed": cfg.seed,
+        "dt": cfg.dt, "T": cfg.T, "alpha": cfg.alpha, "beta": cfg.beta,
+        "cfl_safety": cfg.cfl_safety,
+        **{f"nx[{i}]": n for i, n in enumerate(cfg.nx)},
+        **{f"extent[{i}]": e for i, e in enumerate(cfg.extent)},
+        **{f"bc.{k}": v for k, v in cfg.bc.items() if k == "value"},
+    })
+    if not isinstance(cfg.freeze_h, bool):
+        raise ConfigError(f"freeze_h must be true or false, got {cfg.freeze_h!r}")
     if cfg.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
     if len(cfg.extent) != cfg.dim or len(cfg.nx) != cfg.dim:
@@ -153,6 +179,13 @@ def _validate_preset(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"preset {kind} missing keys: {sorted(missing)}")
     for key, val in defaults.items():
         preset.setdefault(key, val)
+    _check_numbers({
+        f"preset.{k}": v for k, v in preset.items() if k not in ("kind", "center")
+    } | {f"preset.center[{i}]": c for i, c in enumerate(preset.get("center", ()))})
+    if kind == "gaussian_bump" and len(preset["center"]) != cfg.dim:
+        raise ConfigError("gaussian_bump center must have dim components")
+    if kind == "gaussian_bump" and preset["width"] <= 0:
+        raise ConfigError("gaussian_bump width must be positive")
     inside = lambda v: cfg.alpha < v < cfg.beta
     if kind == "two_phase_wall" and not inside(preset["u0"]):
         raise ConfigError(
@@ -193,7 +226,3 @@ def load_config(path) -> ScenarioConfig:
             f"{exc.msg}"
         ) from exc
     return config_from_dict(data)
-
-
-def save_config(cfg: ScenarioConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")

@@ -9,12 +9,13 @@ space-time normal vector at non-degenerate points, a profile of
 mean-square gradient bound probe.
 
 Empirical constants are reported, never asserted against theoretical
-values: the theory proves existence of bounds, not magnitudes.
+values: the theory proves existence of bounds, not magnitudes.  This module
+only computes; ``hysterm.reports`` writes the growth, phi, signs and profile
+tables.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -560,72 +561,3 @@ def mean_square_gradient_bound(
     block = v_stack[tl][:, ml]
     rhs = float(np.sqrt((block**2).mean() / R**2))
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# CSV writers
-
-
-def write_growth_csv(samples: Sequence[GrowthSample], path, dim: int) -> None:
-    cols = ["t_index", "x_index"] + (["y_index"] if dim == 2 else []) + [
-        "r", "osc_lower", "osc_full", "sup_grad",
-        "ratio_quadratic", "ratio_full", "ratio_linear",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for s in samples:
-            for i, r in enumerate(s.radii):
-                writer.writerow(
-                    [s.center.t_index, *s.center.idx, repr(r),
-                     repr(s.osc_lower[i]), repr(s.osc_full[i]),
-                     repr(s.sup_grad[i]), repr(s.ratios_quadratic[i]),
-                     repr(s.ratios_full[i]), repr(s.ratios_linear[i])]
-                )
-
-
-def write_phi_csv(tables: Sequence[PhiTable], path, dim: int) -> None:
-    cols = ["t_index", "x_index"] + (["y_index"] if dim == 2 else []) + [
-        "e", "rho0", "r", "phi"
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for t in tables:
-            estr = ";".join(repr(float(c)) for c in t.direction)
-            for r, p in zip(t.radii, t.phi_values):
-                writer.writerow(
-                    [t.center.t_index, *t.center.idx, estr,
-                     repr(t.rho0), repr(r), repr(p)]
-                )
-
-
-def write_signs_csv(report: SignReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["checked_alpha", "checked_beta", "skipped_near_wall",
-             "violations_alpha", "violations_beta",
-             "worst_alpha", "worst_beta", "tol"]
-        )
-        writer.writerow(
-            [report.checked_alpha, report.checked_beta,
-             report.skipped_near_wall, report.violations_alpha,
-             report.violations_beta, repr(report.worst_alpha),
-             repr(report.worst_beta), repr(report.tol)]
-        )
-
-
-def write_profile_csv(profile: RegularityProfile, path, dim: int) -> None:
-    cols = ["t_index", "x_index"] + (["y_index"] if dim == 2 else []) + [
-        "dist_to_gamma_v", "dist_to_boundary", "abs_dt_u", "hess_norm"
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for s in profile.samples:
-            writer.writerow(
-                [s.point.t_index, *s.point.idx, repr(s.dist_to_gamma_v),
-                 repr(s.dist_to_boundary), repr(s.abs_dt_u),
-                 repr(s.hess_norm)]
-            )

@@ -10,12 +10,12 @@ tolerance) and a non-degenerate part.
 
 Events are grid points, not reconstructed sub-grid surfaces; downstream
 diagnostics integrate over cylinders and are insensitive to sub-grid
-placement.
+placement.  This module only computes: ``hysterm.reports`` writes the
+event table as ``atlas.csv``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .grid import (
     space_time_coords,
 )
 
-# int8 event kind codes; their order is the order of the names in atlas.csv
+# int8 event kind codes; reports.KIND_NAMES names them in atlas.csv
 JUMP_DOWN, JUMP_UP, VERTICAL_WALL = 0, 1, 2
 
 DEFAULT_WALL_MIN_STEPS = 3
@@ -226,29 +226,3 @@ def separation_check(
         crit = np.maximum(np.sqrt(d2), np.sqrt(lag))
         best = min(best, float(crit.min()))
     return best
-
-
-ATLAS_COLUMNS_1D = ["t_index", "x_index", "kind", "u_value", "grad_norm", "dt_u"]
-ATLAS_COLUMNS_2D = [
-    "t_index", "x_index", "y_index", "kind", "u_value", "grad_norm", "dt_u"
-]
-KIND_NAMES = ("JumpDown", "JumpUp", "VerticalWall")
-
-
-def write_atlas_csv(atlas: FreeBoundaryAtlas, path, dim: int) -> None:
-    """All events sorted by (t_index, spatial index, kind name)."""
-    cols = ATLAS_COLUMNS_1D if dim == 1 else ATLAS_COLUMNS_2D
-    order = np.lexsort((atlas.kind, *atlas.idx.T[::-1], atlas.t_index))
-    names = [KIND_NAMES[c] for c in atlas.kind[order].tolist()]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for t, idx, name, u, gn, dtu in zip(
-            atlas.t_index[order].tolist(),
-            atlas.idx[order].tolist(),
-            names,
-            atlas.u[order].tolist(),
-            atlas.grad_norm[order].tolist(),
-            atlas.dt_u[order].tolist(),
-        ):
-            writer.writerow([t, *idx, name, repr(u), repr(gn), repr(dtu)])

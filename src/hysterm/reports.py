@@ -1,9 +1,9 @@
-"""Run persistence and analysis reports.
+"""Every file hysterm writes: run persistence and analysis reports.
 
 A run directory holds the scenario config, one CSV pair per stored
 snapshot (``u_XXXXXX.csv``, ``h_XXXXXX.csv``), 8-bit PGM heatmaps of the
 final slices, and ``manifest.json`` with a sha256 digest of each of these
-files.
+files, taken from the bytes as they are written.
 Snapshots use shortest round-trip decimal formatting so reloading them is
 loss-free and reruns are byte-identical.
 
@@ -14,6 +14,7 @@ diagnostic plus ``summary.json`` with the empirical constants.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -21,20 +22,32 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, config_from_dict, save_config
+from .config import ScenarioConfig, config_from_dict
 from .errors import DataIntegrityError
-from .free_boundary import (
-    classify,
-    separation_check,
-    write_atlas_csv,
-)
-from .grid import SpaceTimePoint, SpaceTimeSolution, boundary_distance
+from .free_boundary import FreeBoundaryAtlas, classify, separation_check
+from .grid import SpaceTimeSolution
 from .presets import build_grid
 from .relay import Thresholds
 
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.json"
-MANIFEST_KEYS = {"config": dict, "files": dict, "num_snapshots": int}
+MANIFEST_KEYS = {"config": dict, "files": dict, "num_snapshots": int,
+                 "sup_bound_M": (int, float)}
+
+
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode()
+
+
+def _write(path, data: bytes) -> str:
+    """Write ``data`` to ``path``; returns its sha256, taken from memory."""
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def save_config(cfg: ScenarioConfig, path) -> str:
+    """Write the config as indented JSON; returns the file's sha256."""
+    return _write(path, _json_bytes(cfg.to_dict()))
 
 
 # ---------------------------------------------------------------------------
@@ -45,35 +58,37 @@ def _format_row(vals) -> str:
     return ",".join(repr(float(v)) for v in vals)
 
 
-def write_snapshot_csv(path, f: np.ndarray, t: float) -> None:
-    """``# t=<time>`` comment line, then one row per grid row."""
-    lines = [f"# t={repr(float(t))}"]
-    if f.ndim == 1:
-        lines.append(_format_row(f))
-    else:
-        lines.extend(_format_row(row) for row in f)
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_snapshot_csv(path, f: np.ndarray, t: float) -> str:
+    """``# t=<time>`` comment line, then one row per grid row; returns the sha256."""
+    rows = "".join(_format_row(row) + "\n" for row in np.atleast_2d(f))
+    return _write(path, f"# t={float(t)!r}\n{rows}".encode())
+
+
+def _parse_snapshot(data: bytes, name) -> tuple:
+    """(t, array) of one snapshot file's bytes; ``name`` labels errors."""
+    try:
+        lines = data.decode().strip().splitlines()
+        if not lines or not lines[0].startswith("# t="):
+            raise DataIntegrityError(f"missing '# t=' header in {name}")
+        t = float(lines[0][4:])
+        arr = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    except ValueError as exc:
+        raise DataIntegrityError(f"malformed snapshot {name}: {exc}") from exc
+    return t, arr[0] if len(arr) == 1 else arr
 
 
 def read_snapshot_csv(path) -> tuple:
     """Returns (t, array); the array is 1D or 2D per the row layout."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith("# t="):
-        raise DataIntegrityError(f"missing '# t=' header in {path}")
-    t = float(text[0][4:])
-    try:
-        arr = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    except ValueError as exc:
-        raise DataIntegrityError(f"malformed snapshot rows in {path}: {exc}") from exc
-    return t, arr[0] if len(arr) == 1 else arr
+    return _parse_snapshot(Path(path).read_bytes(), path)
 
 
 # ---------------------------------------------------------------------------
 # PGM
 
 
-def write_pgm(path, f: np.ndarray) -> None:
-    """Binary (P5) PGM; linear scaling of [min, max] to [0, 255], row-major."""
+def write_pgm(path, f: np.ndarray) -> str:
+    """Binary (P5) PGM; linear scaling of [min, max] to [0, 255], row-major;
+    returns the sha256."""
     img = np.atleast_2d(np.asarray(f, dtype=float))
     lo, hi = float(img.min()), float(img.max())
     if hi > lo:
@@ -82,7 +97,7 @@ def write_pgm(path, f: np.ndarray) -> None:
         scaled = np.zeros_like(img)
     data = scaled.astype(np.uint8)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    return _write(path, header + data.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -96,10 +111,6 @@ def read_pgm(path) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # manifest
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def load_manifest(run_dir) -> dict:
@@ -118,20 +129,25 @@ def load_manifest(run_dir) -> dict:
     return manifest
 
 
+def _read_listed(run_dir: Path, files: dict, name: str) -> bytes:
+    """One read of a file the manifest lists, checked against its digest."""
+    if name not in files:
+        raise DataIntegrityError(f"{name} is not listed in the manifest")
+    try:
+        data = (run_dir / name).read_bytes()
+    except FileNotFoundError:
+        raise DataIntegrityError(f"missing file listed in manifest: {name}") from None
+    if hashlib.sha256(data).hexdigest() != files[name]:
+        raise DataIntegrityError(f"digest mismatch for {name}")
+    return data
+
+
 def verify_manifest(run_dir) -> dict:
     """Check every listed digest; raises on the first mismatch."""
     run_dir = Path(run_dir)
     manifest = load_manifest(run_dir)
-    for name, digest in manifest["files"].items():
-        p = run_dir / name
-        if not p.exists():
-            raise DataIntegrityError(f"missing file listed in manifest: {name}")
-        actual = _sha256(p)
-        if actual != digest:
-            raise DataIntegrityError(
-                f"digest mismatch for {name}: manifest {digest[:12]}..., "
-                f"file {actual[:12]}..."
-            )
+    for name in manifest["files"]:
+        _read_listed(run_dir, manifest["files"], name)
     return manifest
 
 
@@ -147,58 +163,58 @@ def save_run(sol: SpaceTimeSolution, cfg: ScenarioConfig, run_dir) -> Path:
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, run_dir / CONFIG_NAME)
-    written = [CONFIG_NAME, "u_final.pgm", "h_final.pgm"]
+    files = {CONFIG_NAME: save_config(cfg, run_dir / CONFIG_NAME)}
     for k, t in enumerate(sol.times):
         for kind, stack in (("u", sol.u), ("h", sol.h)):
-            written.append(f"{kind}_{k:06d}.csv")
-            write_snapshot_csv(run_dir / written[-1], stack[k], t)
-    write_pgm(run_dir / "u_final.pgm", sol.u[-1])
-    write_pgm(run_dir / "h_final.pgm", sol.h[-1])
+            name = f"{kind}_{k:06d}.csv"
+            files[name] = write_snapshot_csv(run_dir / name, stack[k], t)
+    files["u_final.pgm"] = write_pgm(run_dir / "u_final.pgm", sol.u[-1])
+    files["h_final.pgm"] = write_pgm(run_dir / "h_final.pgm", sol.h[-1])
     manifest = {
         "version": __version__,
         "config": cfg.to_dict(),
-        "files": {name: _sha256(run_dir / name) for name in sorted(written)},
+        "files": dict(sorted(files.items())),
         "sup_bound_M": sol.sup_bound_M,
         "num_snapshots": sol.num_snapshots,
     }
-    (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+    (run_dir / MANIFEST_NAME).write_bytes(_json_bytes(manifest))
     return run_dir
 
 
 def load_run(run_dir) -> tuple:
-    """Rebuild (solution, config) from a digest-verified run directory."""
+    """Rebuild (solution, config) from a run directory; each listed file is
+    read once, digest-checked, and snapshots are parsed from those bytes."""
     run_dir = Path(run_dir)
-    manifest = verify_manifest(run_dir)
+    manifest = load_manifest(run_dir)
+    files = manifest["files"]
     cfg = config_from_dict(manifest["config"])
     g = build_grid(cfg)
-    n = int(manifest["num_snapshots"])
+    n = manifest["num_snapshots"]
+    pairs = [(f"u_{k:06d}.csv", f"h_{k:06d}.csv") for k in range(n)]
+    for name in sorted(files.keys() - {name for pair in pairs for name in pair}):
+        _read_listed(run_dir, files, name)
     times = np.empty(n)
     us = np.empty((n,) + g.shape)
     hs = np.empty((n,) + g.shape, dtype=np.int8)
-    for k in range(n):
-        up = run_dir / f"u_{k:06d}.csv"
-        hp = run_dir / f"h_{k:06d}.csv"
-        if not up.exists() or not hp.exists():
-            raise DataIntegrityError(f"missing snapshot pair {k} in {run_dir}")
-        t, u = read_snapshot_csv(up)
-        _, h = read_snapshot_csv(hp)
-        if u.size != us[k].size or h.size != us[k].size:
-            raise DataIntegrityError(
-                f"snapshot {k} holds {u.size} u and {h.size} h values, "
-                f"grid {g.shape} needs {us[k].size}"
-            )
+    for k, (u_name, h_name) in enumerate(pairs):
+        t, u = _parse_snapshot(_read_listed(run_dir, files, u_name), u_name)
+        t_h, h = _parse_snapshot(_read_listed(run_dir, files, h_name), h_name)
+        for bad, what in (
+            (u.size != us[k].size or h.size != us[k].size, f"holds {u.size} u and "
+             f"{h.size} h values, grid {g.shape} needs {us[k].size}"),
+            (t_h != t, f"has u at t={t!r} and h at t={t_h!r}"),
+            (not (np.isfinite(t) and (k == 0 or t > times[k - 1])),
+             f"at t={t!r} is not finite or not after the previous snapshot"),
+            (not np.isfinite(u).all(), "holds a u value that is not finite"),
+            (not (np.abs(h) == 1).all(), "holds an h value other than -1 or +1"),
+        ):
+            if bad:
+                raise DataIntegrityError(f"snapshot {k} ({u_name}, {h_name}) {what}")
         times[k] = t
         us[k] = u.reshape(g.shape)
         hs[k] = h.reshape(g.shape)
-    sol = SpaceTimeSolution(
-        grid=g,
-        thresholds=Thresholds(cfg.alpha, cfg.beta),
-        times=times,
-        u=us,
-        h=hs,
-        sup_bound_M=float(manifest.get("sup_bound_M", np.abs(us).max())),
-    )
+    sol = SpaceTimeSolution(g, Thresholds(cfg.alpha, cfg.beta), times, us, hs,
+                            float(manifest["sup_bound_M"]))
     return sol, cfg
 
 
@@ -235,23 +251,41 @@ def analyze_run(
         (float(r) for r in radii), reverse=True
     ) if radii else default_radii(sol)
 
-    write_atlas_csv(atlas, out_dir / "atlas.csv", sol.grid.dim)
+    dim = sol.grid.dim
+    write_atlas_csv(atlas, out_dir / "atlas.csv", dim)
 
     samples = dg.quadratic_growth(sol, atlas, radii)
-    dg.write_growth_csv(samples, out_dir / "growth.csv", sol.grid.dim)
+    _write_point_table(out_dir / "growth.csv", dim, [
+        "r", "osc_lower", "osc_full", "sup_grad",
+        "ratio_quadratic", "ratio_full", "ratio_linear",
+    ], (
+        (s.center.t_index, s.center.idx, *vals) for s in samples
+        for vals in zip(s.radii, s.osc_lower, s.osc_full, s.sup_grad,
+                        s.ratios_quadratic, s.ratios_full, s.ratios_linear)
+    ))
 
     phi_tables = _phi_tables(sol, atlas, radii)
-    dg.write_phi_csv(phi_tables, out_dir / "phi.csv", sol.grid.dim)
+    _write_point_table(out_dir / "phi.csv", dim, ["e", "rho0", "r", "phi"], (
+        (t.center.t_index, t.center.idx,
+         ";".join(repr(float(c)) for c in t.direction), t.rho0, r, p)
+        for t in phi_tables for r, p in zip(t.radii, t.phi_values)
+    ))
 
     dt_min = float(np.diff(sol.times).min())
     signs = dg.sign_conditions(sol, atlas, tol=10.0 * dt_min)
-    dg.write_signs_csv(signs, out_dir / "signs.csv")
+    _write_table(out_dir / "signs.csv", list(vars(signs)), [vars(signs).values()])
 
     profile = dg.regularity_profile(sol, atlas)
-    dg.write_profile_csv(profile, out_dir / "profile.csv", sol.grid.dim)
+    _write_point_table(out_dir / "profile.csv", dim, [
+        "dist_to_gamma_v", "dist_to_boundary", "abs_dt_u", "hess_norm"
+    ], (
+        (s.point.t_index, s.point.idx, s.dist_to_gamma_v,
+         s.dist_to_boundary, s.abs_dt_u, s.hess_norm)
+        for s in profile.samples
+    ))
 
     summary = _summary(sol, cfg, atlas, samples, phi_tables, signs, profile)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out_dir / "summary.json").write_bytes(_json_bytes(summary))
     return out_dir
 
 
@@ -314,3 +348,44 @@ def _summary(sol, cfg, atlas, samples, phi_tables, signs, profile) -> dict:
         ],
         "profile_global_max": profile.global_max(),
     }
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+
+
+def _write_table(path, columns, rows) -> None:
+    """A header row, then the rows, in the csv module's default dialect."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _write_point_table(path, dim: int, columns, rows) -> None:
+    """Rows of (t_index, spatial index, *values); non-string values by repr."""
+    _write_table(
+        path,
+        ["t_index", "x_index", "y_index"][: dim + 1] + columns,
+        ([t, *idx, *(v if isinstance(v, str) else repr(v) for v in vals)]
+         for t, idx, *vals in rows),
+    )
+
+
+# atlas.csv names of the free_boundary kind codes, in code order
+KIND_NAMES = ("JumpDown", "JumpUp", "VerticalWall")
+
+
+def write_atlas_csv(atlas: FreeBoundaryAtlas, path, dim: int) -> None:
+    """All events sorted by (t_index, spatial index, kind name)."""
+    order = np.lexsort((atlas.kind, *atlas.idx.T[::-1], atlas.t_index))
+    t, idx, kind, u, gn, dt_u = (a[order].tolist() for a in (
+        atlas.t_index, atlas.idx, atlas.kind, atlas.u, atlas.grad_norm, atlas.dt_u))
+    _write_point_table(path, dim, ["kind", "u_value", "grad_norm", "dt_u"],
+                       zip(t, idx, (KIND_NAMES[c] for c in kind), u, gn, dt_u))
+
+
+def write_sweep_csv(rows, path) -> None:
+    """One row per sweep member, from dicts keyed by the column names."""
+    cols = ["value", "status", "gamma_v_count", "profile_max", "error"]
+    _write_table(path, cols, ([row[c] for c in cols] for row in rows))

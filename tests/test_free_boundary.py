@@ -10,10 +10,10 @@ from hysterm.free_boundary import (
     default_grad_tol,
     default_level_tol,
     separation_check,
-    write_atlas_csv,
 )
 from hysterm.grid import Grid, SpaceTimeSolution
 from hysterm.relay import Thresholds
+from hysterm.reports import write_atlas_csv
 from hysterm.solver import run
 
 

@@ -2,18 +2,20 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hysterm.cli import main, measure_oscillator_period
-from hysterm.config import config_from_dict, load_config, save_config
+from hysterm.config import config_from_dict, load_config
 from hysterm.errors import CFLError, ConfigError, DataIntegrityError
 from hysterm.reports import (
     analyze_run,
     load_run,
     read_pgm,
     read_snapshot_csv,
+    save_config,
     save_run,
     verify_manifest,
     write_pgm,
@@ -87,6 +89,30 @@ class TestConfig:
         # T / dt = 9999.999999999998 in floating point: a whole step count
         cfg = config_from_dict(minimal_dict(T=0.3, dt=3e-5))
         assert run(cfg).times[-1] == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"snapshot_stride": 2.5}, "snapshot_stride"),
+            ({"nx": [11.7]}, r"nx\[0\]"),
+            ({"freeze_h": "no"}, "freeze_h"),
+            ({"dim": True}, "dim"),
+            ({"preset": {"kind": "sine", "amplitude": float("nan"), "modes": 1}},
+             "preset.amplitude"),
+            ({"preset": {"kind": "gaussian_bump", "amplitude": 0.5, "width": 0.0,
+                         "center": [0.5], "base": 0.4, "h0": -1}}, "width"),
+            ({"preset": {"kind": "gaussian_bump", "amplitude": 0.5, "width": 0.1,
+                         "center": [0.5, 0.5], "base": 0.4, "h0": -1}}, "center"),
+        ],
+        ids=["float_stride", "float_nx", "string_freeze_h", "bool_dim",
+             "nan_amplitude", "zero_width", "long_center"],
+    )
+    def test_load_config_rejects_mistyped_values(self, tmp_path, overrides, match):
+        """Each value was truncated, coerced or left to fail at run time."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_dict(**overrides)))
+        with pytest.raises(ConfigError, match=match):
+            load_config(p)
 
     def test_band_presets_validated(self):
         with pytest.raises(ConfigError, match="two_phase_wall"):
@@ -292,7 +318,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "key, value",
         [("files", None), ("config", None), ("num_snapshots", None),
-         ("files", []), ("num_snapshots", "6")],
+         ("files", []), ("num_snapshots", "6"), ("sup_bound_M", None),
+         ("sup_bound_M", "big")],
     )
     def test_manifest_missing_or_malformed_key_exit_3(
         self, tmp_path, capsys, key, value
@@ -309,6 +336,50 @@ class TestCli:
         path.write_text(json.dumps(manifest))
         assert main(["analyze", str(tmp_path / "nokey")]) == 3
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edits, unlist, expected",
+        [
+            pytest.param([("h_000003.csv", None, "0.7")], False, "h_000003.csv",
+                         id="relay_value_not_pm1"),
+            pytest.param([("u_000003.csv", None, "nan")], False, "u_000003.csv",
+                         id="nan_field_value"),
+            pytest.param([("u_000003.csv", "0.002", None),
+                          ("h_000003.csv", "0.002", None)], False,
+                         "not after the previous snapshot",
+                         id="times_not_increasing"),
+            pytest.param([("h_000003.csv", "0.0031", None)], False,
+                         "h_000003.csv", id="h_time_differs"),
+            pytest.param([("u_000003.csv", None, "0.25")], True, "u_000003.csv",
+                         id="snapshot_not_listed"),
+        ],
+    )
+    def test_malformed_snapshot_exit_3(
+        self, tmp_path, capsys, edits, unlist, expected
+    ):
+        """Each edit sets a snapshot's header time and/or its first value.
+        The edited files' digests are updated to match, or, with
+        ``unlist``, the files are dropped from the manifest."""
+        p, data = self.write_cfg(tmp_path, name="edited")
+        assert main(["run", str(p)]) == 0
+        rd = tmp_path / "edited"
+        manifest = json.loads((rd / "manifest.json").read_text())
+        for name, t, first in edits:
+            header, row = (rd / name).read_text().splitlines()
+            if t is not None:
+                header = f"# t={t}"
+            if first is not None:
+                row = ",".join([first, *row.split(",")[1:]])
+            (rd / name).write_text(header + "\n" + row + "\n")
+            if unlist:
+                del manifest["files"][name]
+            else:
+                manifest["files"][name] = hashlib.sha256(
+                    (rd / name).read_bytes()
+                ).hexdigest()
+        (rd / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(rd)]) == 3
+        assert expected in capsys.readouterr().err
 
     def test_ragged_2d_rows_exit_3(self, tmp_path, capsys):
         """A 2D snapshot with one value moved to the next row, right total
@@ -437,3 +508,47 @@ class TestCli:
         )
         assert code == 2
         assert "alpha >= beta" in capsys.readouterr().err
+
+
+# sha256 of the files of a small 1D plateau run and its analysis.  The run
+# uses only + - * / and sqrt, which IEEE arithmetic rounds the same way on
+# every CPU, so these digests hold across machines and lock the on-disk
+# formats across changes of the code.
+GOLDEN_CONFIG = {
+    "name": "golden", "dim": 1, "extent": [2.0], "nx": [21], "dt": 0.004,
+    "T": 0.2, "alpha": 0.0, "beta": 1.0, "bc": {"kind": "neumann"},
+    "snapshot_stride": 10,
+    "preset": {"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1},
+}
+GOLDEN_DIGESTS = {
+    "atlas.csv": "87aca93cd075706c446354ad5b73ba81ff2b41e0f7885bc669be5b4698812a8c",
+    "config.json": "8db7b4dc0a0cb22e305baf4bacb4c24020c9a66ec1a33020ddda7940fb004ef3",
+    "h_000000.csv": "5aa573f47087ccbba896d36136aab6403f6723d19bda6e74acab22250714101a",
+    "h_000001.csv": "e4a9cf89d05696c1ea55c6e0d3d8e799a31976b1351c3e9ca97dc15ca592d307",
+    "h_000002.csv": "c23b5fd7514ceef183e2f7ee4be4b5d0d1851d4aaca6e1e75a8156c954e7a9cb",
+    "h_000003.csv": "050372aabe912589d40502b40a8eb6e933bd681d2630dfd0b5a57afa6775c34b",
+    "h_000004.csv": "6483545a5dac61c3905844cff5a419ab513833a724b625897f36fa3d80538326",
+    "h_000005.csv": "76408f991a5111ef4d84bc21d176ec009a777d29b55a93bae85c9026337f6e76",
+    "h_final.pgm": "7e674255637849ad562916e6d50a81f3188565da9003f4469b06ca25e77f1a6b",
+    "manifest.json": "9813e69ff13b436d1fc028543b2cccce45d229d139045c94100fa6b34ef4d953",
+    "u_000000.csv": "dd0dd3019b07531874f95c2ae0ca629a8f5ec44ba82922c0f4ffa1bd138fc91d",
+    "u_000001.csv": "9834c41f0979958836b76c896e47bb3bca194befda8f67101df8b70e4e3d02d4",
+    "u_000002.csv": "d11047325e4d74e9947fa1d00d85de87ebf9b8724b449bae9b9e4b9c51194dda",
+    "u_000003.csv": "4d9ccd87ef518f80c4e34495c5e98c3a059e321227badb3ccdc7d5b3f4994a04",
+    "u_000004.csv": "26603756410d2db18b1d772f424ca932967474755e0a06d5de6feb119a9cfd71",
+    "u_000005.csv": "95e209be01f5a3c0e2390ab6775bfc3cd947624b1f5a5bc7d1e423aa321b1a21",
+    "u_final.pgm": "e49efe50a27fd5912a3f3e037cd5464551eea620f1576619b2b41d740b1b64d4",
+}
+
+
+def test_golden_digests(tmp_path, monkeypatch):
+    # config.json and the manifest hold output_dir: keep it machine-free
+    monkeypatch.chdir(tmp_path)
+    Path("golden.json").write_text(json.dumps(dict(GOLDEN_CONFIG, output_dir="run")))
+    assert main(["run", "golden.json"]) == 0
+    assert main(["analyze", "run"]) == 0
+    got = {
+        name: hashlib.sha256((Path("run") / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS
+    }
+    assert got == GOLDEN_DIGESTS
