@@ -127,7 +127,7 @@ def weighted_energy_I(
         kern = heat_kernel(offsets, t_star - mid, g.dim)
         integrand = 0.5 * (gsq[k - first] + gsq[k + 1 - first])
         total += (b - a_eff) * float((integrand * kern * w).sum())
-    return total
+    return float(total)
 
 
 @dataclass
@@ -213,7 +213,7 @@ def _cylinder_l2_sq(g, times, v_stack, x_star, t_star_index, rho0) -> float:
             continue
         mid_sq = 0.5 * (v_stack[k] ** 2 + v_stack[k + 1] ** 2)
         total += (b - a) * float((mid_sq * w * mask).sum())
-    return total
+    return float(total)
 
 
 def directional_derivative_stack(

@@ -18,7 +18,9 @@ membership is strict (the open ball excludes points at distance exactly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -72,7 +74,7 @@ class Grid:
     def dim(self) -> int:
         return len(self.nx)
 
-    @property
+    @cached_property
     def dx(self) -> tuple:
         return tuple(e / (n - 1) for e, n in zip(self.extent, self.nx))
 
@@ -110,33 +112,43 @@ class Grid:
 
 
 def _check_field(f: np.ndarray, g: Grid) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
+    f = np.ascontiguousarray(f, dtype=float)
     if f.shape[-g.dim:] != g.shape:
         raise ValueError(f"field shape {f.shape} does not end in grid {g.shape}")
     return f
 
 
-def _second_diff(f: np.ndarray, axis: int, dx: float, g: Grid) -> np.ndarray:
-    """Central second difference along one axis with bc-aware edges.
+def _second_diff(
+    f: np.ndarray, axis: int, dx: float, g: Grid, out: np.ndarray
+) -> np.ndarray:
+    """Central second difference along one axis, written into ``out``.
 
-    Neumann edges use a reflected ghost value; Dirichlet edges return 0
-    there (boundary nodes are pinned by the solver, so their stencil value
-    is never consumed).
+    ``f`` and ``out`` are distinct C-contiguous arrays of one shape.  The
+    interior stencil ``((f[2:] - 2.0*f[1:-1]) + f[:-2]) / h2`` runs once
+    over their flat views with the axis stride as offset, so every axis
+    reads contiguous memory; the entries at either end of the axis, where
+    the flat offset wraps into a neighbouring row or snapshot, are then
+    overwritten by the edge rule.  Neumann edges use a reflected ghost
+    value; Dirichlet edges read 0 (boundary nodes are pinned by the solver,
+    so their stencil value is never consumed).  Returns ``out``.
     """
-
-    def at(s):
-        return (slice(None),) * axis + (s,)
-
     h2 = dx * dx
-    out = np.empty_like(f)
-    out[at(slice(1, -1))] = (
-        f[at(slice(2, None))] - 2.0 * f[at(slice(1, -1))] + f[at(slice(None, -2))]
-    ) / h2
+    s = math.prod(f.shape[axis + 1:])
+    flat, mid = f.reshape(-1), out.reshape(-1)[s:-s]
+    np.multiply(flat[s:-s], 2.0, out=mid)
+    np.subtract(flat[2 * s:], mid, out=mid)
+    np.add(mid, flat[: -2 * s], out=mid)
+    np.divide(mid, h2, out=mid)
+    lead = (slice(None),) * axis
+    lo, hi = lead + (slice(0, 1),), lead + (slice(-1, None),)
     if g.bc_kind == BC_NEUMANN:
-        out[at(0)] = 2.0 * (f[at(1)] - f[at(0)]) / h2
-        out[at(-1)] = 2.0 * (f[at(-2)] - f[at(-1)]) / h2
+        for edge, inner in ((lo, lead + (slice(1, 2),)), (hi, lead + (slice(-2, -1),))):
+            e = out[edge]
+            np.subtract(f[inner], f[edge], out=e)
+            e *= 2.0
+            e /= h2
     else:
-        out[at(0)] = out[at(-1)] = 0.0
+        out[lo] = out[hi] = 0.0
     return out
 
 
@@ -144,9 +156,9 @@ def laplacian(f: np.ndarray, g: Grid) -> np.ndarray:
     """Second-order central Laplacian (3-point in 1D, 5-point in 2D)."""
     f = _check_field(f, g)
     lead = f.ndim - g.dim
-    out = _second_diff(f, lead, g.dx[0], g)
+    out = _second_diff(f, lead, g.dx[0], g, np.empty_like(f))
     for axis in range(1, g.dim):
-        out += _second_diff(f, lead + axis, g.dx[axis], g)
+        out += _second_diff(f, lead + axis, g.dx[axis], g, np.empty_like(f))
     return out
 
 
@@ -174,7 +186,7 @@ def hessian(f: np.ndarray, g: Grid) -> np.ndarray:
     lead = f.ndim - g.dim
     out = np.empty((g.dim, g.dim) + f.shape)
     for i, d in enumerate(g.dx):
-        out[i, i] = _second_diff(f, lead + i, d, g)
+        _second_diff(f, lead + i, d, g, out[i, i])
     if g.dim == 2:
         gx = np.gradient(f, g.dx[0], axis=lead)
         out[0, 1] = out[1, 0] = np.gradient(gx, g.dx[1], axis=lead + 1)

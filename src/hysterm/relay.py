@@ -83,29 +83,44 @@ def relay_trace(
     return out
 
 
-def field_init(u0: np.ndarray, h_hint, th: Thresholds) -> np.ndarray:
-    """Vectorized ``relay_init`` over a spatial field.
+def relay_rule(plus: np.ndarray, u_new: np.ndarray, th: Thresholds,
+               scratch: np.ndarray) -> np.ndarray:
+    """Pointwise ``relay_step`` on boolean states, in place.
 
-    ``h_hint`` may be a scalar or an array matching ``u0``.
+    ``plus`` marks the +1 states and becomes
+    ``(plus & (u_new > alpha)) | (u_new >= beta)``: saturated above beta,
+    reset at or below alpha, kept in between.  ``scratch`` is a bool buffer
+    of the same shape; returns ``plus``.
     """
-    hint = np.broadcast_to(np.asarray(h_hint, dtype=np.int8), u0.shape)
-    if not np.isin(hint, (MINUS, PLUS)).all():
-        raise ValueError("h_hint values must be -1 or +1")
-    return np.where(
-        u0 <= th.alpha, MINUS, np.where(u0 >= th.beta, PLUS, hint)
-    ).astype(np.int8)
+    np.greater(u_new, th.alpha, out=scratch)
+    plus &= scratch
+    np.greater_equal(u_new, th.beta, out=scratch)
+    plus |= scratch
+    return plus
 
 
 def field_update(
     prev: np.ndarray, u_new: np.ndarray, th: Thresholds
 ) -> np.ndarray:
-    """Pointwise ``relay_step`` over a spatial field; no spatial coupling."""
+    """Pointwise ``relay_step`` over a ±1 int8 field; no spatial coupling."""
     prev = np.asarray(prev)
     u_new = np.asarray(u_new)
     if prev.shape != u_new.shape:
         raise ValueError(
             f"shape mismatch: relay field {prev.shape} vs input {u_new.shape}"
         )
-    return np.where(
-        u_new >= th.beta, PLUS, np.where(u_new <= th.alpha, MINUS, prev)
-    ).astype(np.int8)
+    plus = relay_rule(prev == PLUS, u_new, th, np.empty(prev.shape, dtype=bool))
+    return np.where(plus, PLUS, MINUS).astype(np.int8)
+
+
+def field_init(u0: np.ndarray, h_hint, th: Thresholds) -> np.ndarray:
+    """Vectorized ``relay_init`` over a spatial field.
+
+    ``h_hint`` may be a scalar or an array matching ``u0``.  For a valid
+    hint ``relay_init`` is ``relay_step`` from the hint, so this is
+    ``field_update`` from it.
+    """
+    hint = np.broadcast_to(np.asarray(h_hint, dtype=np.int8), u0.shape)
+    if not np.isin(hint, (MINUS, PLUS)).all():
+        raise ValueError("h_hint values must be -1 or +1")
+    return field_update(hint, u0, th)

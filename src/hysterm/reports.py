@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.json"
 MANIFEST_KEYS = {"config": dict, "files": dict, "num_snapshots": int,
                  "sup_bound_M": (int, float)}
+SNAPSHOT_NAME = re.compile(r"[uh]_(\d{6})\.csv")
 
 
 def _json_bytes(obj) -> bytes:
@@ -123,16 +125,28 @@ def load_manifest(run_dir) -> dict:
         raise DataIntegrityError(f"unreadable manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataIntegrityError(f"manifest {path} is not a JSON object")
-    bad = [k for k, t in MANIFEST_KEYS.items() if not isinstance(manifest.get(k), t)]
+    bad = [k for k, t in MANIFEST_KEYS.items()
+           if not isinstance(manifest.get(k), t) or isinstance(manifest[k], bool)]
     if bad:
         raise DataIntegrityError(f"manifest {path} lacks a valid {', '.join(bad)}")
+    n, files = manifest["num_snapshots"], manifest["files"]
+    if not 2 <= n <= len(files) // 2:
+        raise DataIntegrityError(
+            f"manifest {path} has num_snapshots {n}, needs at least 2 and a "
+            f"u and an h file listed for each"
+        )
+    want = {f"{kind}_{k:06d}.csv" for k in range(n) for kind in "uh"}
+    have = {name for name in files if SNAPSHOT_NAME.fullmatch(name)}
+    if have != want:
+        raise DataIntegrityError(
+            f"manifest {path} does not list the snapshot files of num_snapshots "
+            f"{n}: missing {sorted(want - have)[:3]}, beyond {sorted(have - want)[:3]}"
+        )
     return manifest
 
 
 def _read_listed(run_dir: Path, files: dict, name: str) -> bytes:
     """One read of a file the manifest lists, checked against its digest."""
-    if name not in files:
-        raise DataIntegrityError(f"{name} is not listed in the manifest")
     try:
         data = (run_dir / name).read_bytes()
     except FileNotFoundError:
@@ -158,11 +172,16 @@ def verify_manifest(run_dir) -> dict:
 def save_run(sol: SpaceTimeSolution, cfg: ScenarioConfig, run_dir) -> Path:
     """Write the run files and a manifest listing exactly those files.
 
-    Files already in ``run_dir`` that this run does not write stay out of
-    the manifest.
+    Snapshot files of an earlier, longer run in ``run_dir`` (index at or
+    above this run's snapshot count) are removed; other files already there
+    stay, out of the manifest.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    for path in run_dir.iterdir():
+        match = SNAPSHOT_NAME.fullmatch(path.name)
+        if match and int(match[1]) >= sol.num_snapshots:
+            path.unlink()
     files = {CONFIG_NAME: save_config(cfg, run_dir / CONFIG_NAME)}
     for k, t in enumerate(sol.times):
         for kind, stack in (("u", sol.u), ("h", sol.h)):

@@ -1,5 +1,6 @@
 """Config schema, persistence formats, CLI contract, exit codes."""
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -202,8 +203,9 @@ class TestRunPersistence:
             verify_manifest(rd)
 
     def test_manifest_lists_only_written_files(self, tmp_path):
-        """A shorter rerun into an analysed run directory leaves the old
-        snapshots and reports on disk but out of the manifest."""
+        """A shorter rerun into an analysed run directory removes the old
+        run's extra snapshots and leaves its reports on disk but out of the
+        manifest."""
         rd = tmp_path / "rerun"
         cfg = config_from_dict(minimal_dict(T=0.01))
         analyze_run(save_run(run(cfg), cfg, rd))
@@ -211,7 +213,9 @@ class TestRunPersistence:
         save_run(run(cfg), cfg, rd)
         manifest = verify_manifest(rd)
         assert manifest["num_snapshots"] == 6
-        assert (rd / "u_000010.csv").exists() and (rd / "atlas.csv").exists()
+        assert not (rd / "u_000010.csv").exists() and (rd / "atlas.csv").exists()
+        for kind in "uh":
+            assert len(list(rd.glob(f"{kind}_*.csv"))) == manifest["num_snapshots"]
         snapshots = [f"{v}_{k:06d}.csv" for k in range(6) for v in "uh"]
         assert sorted(manifest["files"]) == sorted(
             ["config.json", "u_final.pgm", "h_final.pgm", *snapshots]
@@ -319,7 +323,9 @@ class TestCli:
         "key, value",
         [("files", None), ("config", None), ("num_snapshots", None),
          ("files", []), ("num_snapshots", "6"), ("sup_bound_M", None),
-         ("sup_bound_M", "big")],
+         ("sup_bound_M", "big"), ("num_snapshots", True), ("num_snapshots", -1),
+         ("num_snapshots", 0), ("num_snapshots", 1), ("num_snapshots", 5),
+         ("num_snapshots", 7)],
     )
     def test_manifest_missing_or_malformed_key_exit_3(
         self, tmp_path, capsys, key, value
@@ -552,3 +558,132 @@ def test_golden_digests(tmp_path, monkeypatch):
         for name in GOLDEN_DIGESTS
     }
     assert got == GOLDEN_DIGESTS
+
+
+# The same for small 2D plateau runs, one per boundary condition kind, on a
+# grid with different spacings along x and y; the Neumann run also stores a
+# final snapshot off the stride.  Both runs flip relays in both directions.
+# Every run file is pinned: the config, each snapshot, both PGMs and the
+# manifest (which holds sup_bound_M).
+GOLDEN_2D_BASE = {
+    "dim": 2, "extent": [2.0, 1.0], "nx": [9, 6], "dt": 0.008, "T": 0.2,
+}
+GOLDEN_2D = {
+    "neumann": (
+        dict(GOLDEN_2D_BASE, name="golden2d_neumann", alpha=0.0, beta=1.0,
+             bc={"kind": "neumann"}, snapshot_stride=4,
+             preset={"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1}),
+        {
+            "config.json":
+                "432da67dba2cfccdcafa28d7b32c96d7dd3458ce0700e3d1dc2aedca7a5487bd",
+            "h_000000.csv":
+                "490ba46c6c5aedb01a5d5d813cbdb1c171c3ea9f228070fc2d37b14bc29d7595",
+            "h_000001.csv":
+                "4f32217c658eec2ca9e0a287435b927b2ca6d3224ea8b883b938175a5ce92661",
+            "h_000002.csv":
+                "627e8cf2c0bdf981a59cdabc22ab7b5bd70af9f5cf1b834afde7fd103b325bd1",
+            "h_000003.csv":
+                "e5233d1bc2deab1b2ddb9a7924ee094163c5c94f3fe3ef0da5967c2460278ccc",
+            "h_000004.csv":
+                "d884a63d4a0d6ec59f994a1c293b2cbf3eb7c6c43d42d5c2932a607ddbb70c73",
+            "h_000005.csv":
+                "39226e8d6cdf265dbd966cc96bf406e5c3d96a9cd49490caa493181e67c95c6b",
+            "h_000006.csv":
+                "3d4f325f038f365ca5356eb08ca877e91be0e841100aaa355a8715015a07d599",
+            "h_000007.csv":
+                "ce50b913759dc5dc50b787ea455ca4806847edb94662731ead649aa5ac8de5b8",
+            "h_final.pgm":
+                "de221c661e84cded85e0498430381919d8485d13530ca2d787d8e3b9da9813ad",
+            "manifest.json":
+                "14cfb779f76994b4c223dfc936004daeb4812bcdfc8139c01f5bfce8b0c9ec05",
+            "u_000000.csv":
+                "80c668f66edb3e2a96b24e647a06c63374365c8103144ed67282c490753ce131",
+            "u_000001.csv":
+                "ab1a44f5a692ca64586a5f131f387078940a68ca8dc7acfa3232fee4614dfeff",
+            "u_000002.csv":
+                "57089733711f066d38155707b670054866d1e144e1b49b576982607668b02fe9",
+            "u_000003.csv":
+                "598789e7b6d61c2e1ae4e57d678b0218624386b8dc6d88e4e91a6e80419445e2",
+            "u_000004.csv":
+                "84fa87e2603e62fe7681f199b45f6ea8352d1e5f9c689d7299855c99438a7a32",
+            "u_000005.csv":
+                "068795d9bbb2795d6c33bbf31c5be9dc5d8ed697aecc3153a69162f996a90230",
+            "u_000006.csv":
+                "96a99f9bfe496b05734dba8afcf9f7e407bc02875ae3cde1cef352ffce6219a2",
+            "u_000007.csv":
+                "b583dbba29c1797f652a03d4db594a3517f61a70fc5b6b67ae5d108462a32234",
+            "u_final.pgm":
+                "0a07f483abb8920a983571a2896905eec28979c806cf7b9ad6135a7f9caef38b",
+        },
+    ),
+    "dirichlet": (
+        dict(GOLDEN_2D_BASE, name="golden2d_dirichlet", alpha=0.28, beta=0.31,
+             bc={"kind": "dirichlet", "value": 0.3}, snapshot_stride=5,
+             preset={"kind": "plateau", "level": 0.29, "curvature": 0.01, "h0": 1}),
+        {
+            "config.json":
+                "b3933293f819fafce98d1d02c2ce86932ebbb8a15074ccd4d6a01dcf232a29ca",
+            "h_000000.csv":
+                "490ba46c6c5aedb01a5d5d813cbdb1c171c3ea9f228070fc2d37b14bc29d7595",
+            "h_000001.csv":
+                "bb249567307363d4b8e9f1844433f21c2812417e2a881e8c6196fadd3419cb06",
+            "h_000002.csv":
+                "85267b37e7c8c3952ba1ac8a5650d9a679c46715f3503fc07679ec380df93f9f",
+            "h_000003.csv":
+                "505a5b81da40477f9eafff72e30f2927e49754c580c454c9643189b6cbf3b146",
+            "h_000004.csv":
+                "1059ee15e1a30c8743dc76bf69d464ddaec2b7f3bcbd9c0b3fab001f8332949e",
+            "h_000005.csv":
+                "68bacd6ca666573c654e0e238d09e3d59c5f1931ad65bf3239680389a85e7d9d",
+            "h_final.pgm":
+                "de221c661e84cded85e0498430381919d8485d13530ca2d787d8e3b9da9813ad",
+            "manifest.json":
+                "af233b7421cdc221b57bfa8247dee1677dc3e59a974a1528360d9a1149a1ff59",
+            "u_000000.csv":
+                "aee0b5b4178831d474d5d4d4e04a68cd59ac4229d32fb746f193a2c74bee3e2d",
+            "u_000001.csv":
+                "ab82067c82e1b24218d20c7aeaf7a06045386c1934ed66b9147b64801c0a63b7",
+            "u_000002.csv":
+                "77b98cf256bb514e64dc83d921329296c9fbfdec0d279bc7d7acfcc583c896e9",
+            "u_000003.csv":
+                "f979d777198e028b06e6f13e94f7e29a115772056812b978afe326727dfdb54b",
+            "u_000004.csv":
+                "3b624e350626607e746fe57cda39993ddcae0092f706eacdaacfa1bc7a1d2524",
+            "u_000005.csv":
+                "bdeafc1916c2c19d7f6621c0400d764b3b445638f2c9265e897e4643ec9573f5",
+            "u_final.pgm":
+                "8de847dd2d9c11b234ee05c97556a975bff1ef1f760524bf8c667c286663b127",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("bc", sorted(GOLDEN_2D))
+def test_golden_digests_2d(tmp_path, monkeypatch, bc):
+    cfg, digests = GOLDEN_2D[bc]
+    monkeypatch.chdir(tmp_path)
+    Path("golden.json").write_text(json.dumps(dict(cfg, output_dir="run")))
+    assert main(["run", "golden.json"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in Path("run").iterdir()}
+    assert got == digests
+
+
+def test_phi_csv_2d_holds_plain_numbers(tmp_path):
+    """Every phi.csv field of a 2D analysis is a decimal number (the probe
+    direction is ';'-separated), not a numpy scalar's repr."""
+    data = {
+        "name": "phi2d", "dim": 2, "extent": [2.0, 2.0], "nx": [21, 21],
+        "dt": 0.002, "T": 0.3, "alpha": 0.0, "beta": 1.0,
+        "bc": {"kind": "neumann"}, "snapshot_stride": 15,
+        "preset": {"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1},
+    }
+    cfg = config_from_dict(data)
+    rd = analyze_run(save_run(run(cfg), cfg, tmp_path / "phi2d"))
+    with open(rd / "phi.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows
+    for row in rows:
+        for field in row:
+            for part in field.split(";"):
+                float(part)

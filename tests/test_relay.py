@@ -10,6 +10,7 @@ from hysterm.relay import (
     field_init,
     field_update,
     relay_init,
+    relay_rule,
     relay_step,
     relay_trace,
 )
@@ -127,6 +128,29 @@ class TestHysteresisProperties:
         direct = field_update(prev, u, TH)[perm]
         permuted = field_update(prev[perm], u[perm], TH)
         assert (direct == permuted).all()
+
+    @given(
+        rows=st.integers(1, 8),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_relay_rule_is_the_fold_of_relay_step(self, rows, data):
+        """Boolean rule applied to a sequence of fields == per-point fold."""
+        n = data.draw(st.integers(1, 12))
+        value = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([TH.alpha, TH.beta]))
+        fields = np.array(data.draw(st.lists(
+            st.lists(value, min_size=n, max_size=n), min_size=rows, max_size=rows
+        )))
+        h0 = np.array(data.draw(st.lists(h0_strategy, min_size=n, max_size=n)))
+        plus, scratch = h0 == 1, np.empty(n, dtype=bool)
+        h = h0.astype(np.int8)
+        folds = [relay_trace(fields[:, i], h0[i], TH) for i in range(n)]
+        for k, u in enumerate(fields):
+            relay_rule(plus, u, TH, scratch)
+            h = field_update(h, u, TH)
+            expected = [fold[k] for fold in folds]
+            assert np.where(plus, 1, -1).tolist() == expected
+            assert h.tolist() == expected
 
 
 class TestFieldOps:

@@ -1,12 +1,17 @@
 """Explicit Euler integration: ODE exactness, convergence, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hysterm.config import config_from_dict
-from hysterm.errors import CFLError, ConfigError
-from hysterm.grid import BC_DIRICHLET, Grid
-from hysterm.relay import Thresholds
+from hysterm.errors import CFLError, ConfigError, HystermError
+from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, laplacian
+from hysterm.presets import build_grid, bundled_config, initial_data
+from hysterm.relay import Thresholds, field_init, field_update
 from hysterm.solver import cfl_limit, run, step
 
 from conftest import fourier_heat_oracle, frozen_heat_config
@@ -206,3 +211,181 @@ class TestInvariants:
     def test_sup_bound_reported(self):
         sol = run(homogeneous_config(T=3.0))
         assert 1.0 <= sol.sup_bound_M <= 1.0 + 1e-3 + 1e-12
+
+
+def reference_run(cfg):
+    """The unfused loop: ``u + dt*(laplacian(u) - h)``, the Dirichlet values
+    pinned, then ``field_update``; ``sup_bound_M`` from ``np.abs``."""
+    g = build_grid(cfg)
+    th = Thresholds(cfg.alpha, cfg.beta)
+    u, hint = initial_data(cfg, g)
+
+    def pin(f):
+        if g.bc_kind == BC_DIRICHLET:
+            for axis in range(g.dim):
+                idx = [slice(None)] * g.dim
+                for end in (0, -1):
+                    idx[axis] = end
+                    f[tuple(idx)] = g.bc_value
+
+    pin(u)
+    h = field_init(u, hint, th)
+    n_steps = int(round(cfg.T / cfg.dt))
+    us, hs, sup_m = [u], [h], float(np.abs(u).max())
+    for k in range(1, n_steps + 1):
+        u = u + cfg.dt * (laplacian(u, g) - h)
+        pin(u)
+        h = h if cfg.freeze_h else field_update(h, u, th)
+        sup_m = max(sup_m, float(np.abs(u).max()))
+        if k % cfg.snapshot_stride == 0 or k == n_steps:
+            us.append(u)
+            hs.append(h)
+    return np.array(us), np.array(hs), sup_m
+
+
+def small_config(dim, bc, **overrides):
+    """A small plateau scenario: 9 points in 1D, 9x6 with unequal spacings
+    in 2D; with the default thresholds and no frozen relay, relays flip
+    before T."""
+    data = {
+        "name": f"small_{dim}d",
+        "dim": dim,
+        "extent": [2.0, 1.0][:dim],
+        "nx": [9, 6][:dim],
+        "dt": 0.008,
+        "T": 0.2,
+        "alpha": 0.28,
+        "beta": 0.31,
+        "bc": bc,
+        "snapshot_stride": 3,
+        "preset": {"kind": "plateau", "level": 0.29, "curvature": 0.01, "h0": 1},
+    }
+    data.update(overrides)
+    return config_from_dict(data)
+
+
+REFERENCE_CASES = {
+    "1d_neumann": lambda: small_config(1, {"kind": "neumann"}),
+    "1d_dirichlet": lambda: small_config(1, {"kind": "dirichlet", "value": 0.3}),
+    "2d_neumann": lambda: small_config(2, {"kind": "neumann"}, snapshot_stride=1),
+    "2d_dirichlet": lambda: small_config(2, {"kind": "dirichlet", "value": 0.3}),
+    "2d_dirichlet_zero": lambda: small_config(
+        2, {"kind": "dirichlet", "value": 0.0}, alpha=0.0, beta=1.0,
+        preset={"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1},
+    ),
+    "wall": lambda: bundled_config("two_phase_wall", T=0.02),
+}
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("freeze_h", [False, True])
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_run_equals_unfused_loop_bitwise(self, case, freeze_h):
+        cfg = dataclasses.replace(REFERENCE_CASES[case](), freeze_h=freeze_h)
+        us, hs, sup_m = reference_run(cfg)
+        sol = run(cfg)
+        assert np.array_equal(sol.u, us)
+        assert np.array_equal(sol.h, hs)
+        assert sol.sup_bound_M == sup_m
+        if not freeze_h and case != "wall":
+            assert (sol.h[1:] != sol.h[:-1]).any()
+
+    def test_step_equals_unfused_expression(self):
+        g = Grid(extent=(2.0, 1.0), nx=(9, 6), bc_kind=BC_DIRICHLET, bc_value=0.3)
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.0, 1.0, size=g.shape)
+        h = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.shape)
+        u2, h2 = step(u, h, g, 0.008, TH)
+        expected = u + 0.008 * (laplacian(u, g) - h)
+        expected[0, :] = expected[-1, :] = expected[:, 0] = expected[:, -1] = 0.3
+        assert np.array_equal(u2, expected)
+        assert np.array_equal(h2, field_update(h, expected, TH))
+
+    def test_config_changed_after_validation_checked_for_cfl(self):
+        cfg = homogeneous_config(T=0.01)
+        cfg.dt = 0.01
+        with pytest.raises(CFLError, match="CFL violated"):
+            run(cfg)
+
+    def test_nan_caught_in_run(self, monkeypatch):
+        import hysterm.solver as solver
+
+        real = solver._second_diff
+
+        def poisoned(f, axis, dx, g, out):
+            real(f, axis, dx, g, out)
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "_second_diff", poisoned)
+        with pytest.raises(HystermError, match="NaN"):
+            run(homogeneous_config(T=0.01))
+
+
+fields = st.lists(
+    st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])),
+    min_size=5, max_size=12,
+)
+
+
+class TestSolverProperties:
+    @given(u0=fields, signs=st.lists(st.sampled_from([-1, 1]), min_size=12,
+                                     max_size=12),
+           bc=st.sampled_from([BC_NEUMANN, BC_DIRICHLET]))
+    @settings(max_examples=60, deadline=None)
+    def test_h_flips_only_where_u_reaches_a_threshold(self, u0, signs, bc):
+        g = Grid(extent=(1.0,), nx=(len(u0),), bc_kind=bc, bc_value=0.5)
+        u = np.array(u0)
+        h = field_init(u, np.array(signs[: len(u0)], dtype=np.int8), TH)
+        dt = 0.4 * g.dx[0] ** 2
+        for _ in range(8):
+            u, h_new = step(u, h, g, dt, TH)
+            up, down = (h_new > h), (h_new < h)
+            assert (u[up] >= TH.beta).all() and (u[down] <= TH.alpha).all()
+            h = h_new
+
+    @given(u0=st.floats(0.05, 0.95), wall=st.floats(0.1, 0.9),
+           ny=st.integers(3, 6), steps=st.integers(1, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_2d_wall_equals_1d_along_every_column(self, u0, wall, ny, steps):
+        """The y-uniform 2D Neumann wall is the 1D wall on every column: the
+        y stencil's wrap entries across rows must all be overwritten."""
+        base = {
+            "name": "wall", "dt": 5e-4, "T": steps * 5e-4, "alpha": 0.0,
+            "beta": 1.0, "bc": {"kind": "neumann"},
+            "preset": {"kind": "two_phase_wall", "u0": u0, "wall_position": wall},
+        }
+        one = run(config_from_dict(dict(base, dim=1, extent=[1.0], nx=[21])))
+        two = run(config_from_dict(
+            dict(base, dim=2, extent=[1.0, 0.25], nx=[21, ny])
+        ))
+        for j in range(ny):
+            assert np.array_equal(two.u[:, :, j], one.u)
+            assert np.array_equal(two.h[:, :, j], one.h)
+        assert two.sup_bound_M == one.sup_bound_M
+
+    @given(level=st.floats(-0.9, 0.9), curvature=st.floats(-2.0, 2.0),
+           dim=st.sampled_from([1, 2]),
+           bc=st.sampled_from([None, -1.2, 0.0, 0.3, 1.2]),
+           freeze_h=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_maximum_principle_and_sup_bound(
+        self, level, curvature, dim, bc, freeze_h
+    ):
+        """With the CFL bound, one step moves max u up and min u down by at
+        most dt (the relay term), Dirichlet values included; with every
+        step stored, sup_bound_M is max |u| over the snapshots exactly."""
+        cfg = small_config(
+            dim,
+            {"kind": "neumann"} if bc is None else {"kind": "dirichlet", "value": bc},
+            alpha=-1.0, beta=1.0, snapshot_stride=1, T=0.08, freeze_h=freeze_h,
+            preset={"kind": "plateau", "level": level, "curvature": curvature,
+                    "h0": 1},
+        )
+        sol = run(cfg)
+        pinned = [] if bc is None else [bc]
+        tol = cfg.dt + 1e-12
+        for prev, nxt in zip(sol.u[:-1], sol.u[1:]):
+            assert nxt.max() <= max([prev.max(), *pinned]) + tol
+            assert nxt.min() >= min([prev.min(), *pinned]) - tol
+        assert sol.sup_bound_M == np.abs(sol.u).max()
