@@ -49,15 +49,14 @@ def _parse_radii(text):
 
 
 def cmd_analyze(args) -> int:
-    out = analyze_run(
+    summary = analyze_run(
         args.run_dir,
         grad_tol=args.grad_tol,
         level_tol=args.level_tol,
         radii=_parse_radii(args.radii),
     )
-    summary = json.loads((Path(out) / "summary.json").read_text())
     print(
-        f"analysis complete: {out} "
+        f"analysis complete: {Path(args.run_dir)} "
         f"(gamma_v_count={summary['counts']['gamma_v']}, "
         f"sign_violations={summary['sign_violations']['alpha'] + summary['sign_violations']['beta']})"
     )
@@ -96,8 +95,7 @@ def _sweep_child(base: dict, pointer: str, value, out_root: Path, tag: str):
     cfg = config_from_dict(data)
     sol = solver_run(cfg)
     run_dir = save_run(sol, cfg, out_root / tag)
-    analyze_run(run_dir)
-    summary = json.loads((run_dir / "summary.json").read_text())
+    summary = analyze_run(run_dir)
     return {
         "value": value,
         "status": "ok",

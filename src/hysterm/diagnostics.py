@@ -313,14 +313,13 @@ def eligible_growth_centers(
     vertical walls and to the parabolic boundary both at least the largest
     radius of the ladder.  Returns (centers, skipped_count).
     """
-    wall_pts = atlas.coords(sol, atlas.gamma_v)
     centers = []
     skipped = 0
     for z in atlas.points(atlas.gamma_0):
         if boundary_distance(sol, z) < rmax:
             skipped += 1
             continue
-        if parabolic_distance(z, wall_pts, sol) < rmax:
+        if parabolic_distance(z, atlas.wall_segments, sol) < rmax:
             skipped += 1
             continue
         centers.append(z)
@@ -396,9 +395,8 @@ def sign_conditions(
     rows = atlas.gamma_star
     # no walls, no skips: the distance cap itself may lie below the guard
     if len(atlas.gamma_v):
-        wall_pts = atlas.coords(sol, atlas.gamma_v)
         near = [
-            parabolic_distance(z, wall_pts, sol) <= guard
+            parabolic_distance(z, atlas.wall_segments, sol) <= guard
             for z in atlas.points(rows)
         ]
         rows = rows[~np.array(near, dtype=bool)]
@@ -495,7 +493,6 @@ def regularity_profile(
     sample_count: int = 256,
 ) -> RegularityProfile:
     """Deterministic stratified sample of off-boundary, off-event points."""
-    wall_pts = atlas.coords(sol, atlas.gamma_v)
     on_event = np.zeros(sol.u.shape, dtype=bool)
     on_event[(atlas.t_index, *atlas.idx.T)] = True
     cap = sol.r_max()
@@ -525,7 +522,7 @@ def regularity_profile(
             samples.append(
                 ProfileSample(
                     point=z,
-                    dist_to_gamma_v=parabolic_distance(z, wall_pts, sol),
+                    dist_to_gamma_v=parabolic_distance(z, atlas.wall_segments, sol),
                     dist_to_boundary=boundary_distance(sol, z),
                     abs_dt_u=float(dtu[j][idx]),
                     hess_norm=float(hess[j][idx]),

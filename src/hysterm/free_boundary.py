@@ -12,20 +12,32 @@ Events are grid points, not reconstructed sub-grid surfaces; downstream
 diagnostics integrate over cylinders and are insensitive to sub-grid
 placement.  This module only computes: ``hysterm.reports`` writes the
 event table as ``atlas.csv``.
+
+Neither distance the theory uses scans all pairs of points.  The wall
+points are also kept as maximal runs of consecutive snapshots
+(``FreeBoundaryAtlas.wall_segments``), so a parabolic distance to Gamma_v
+costs one row per run, not per wall event.  ``separation_check`` builds an
+exact squared distance map per beta slice, on first use, and visits slice
+pairs in order of increasing time lag until the lag alone rules out a
+closer pair; its memory is a few grid-sized maps instead of a block of
+point pairs.  Both give the all-pairs minimum bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import (
+    Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
     gradient,
     laplacian,
-    space_time_coords,
+    time_segments,
 )
 
 # int8 event kind codes; reports.KIND_NAMES names them in atlas.csv
@@ -44,6 +56,9 @@ class FreeBoundaryAtlas:
     (t, C-order index) order, then the up-jumps (Gamma_beta), then the wall
     endpoints (Gamma_v) face by face; a point bordering two wall faces
     appears once per face.  ``grad_norm_stack`` is |Du| per snapshot.
+    ``wall_segments`` holds the Gamma_v points as ``grid.time_segments``
+    rows, the form ``grid.parabolic_distance`` takes; it is built from the
+    table on construction.
     """
 
     t_index: np.ndarray
@@ -61,10 +76,11 @@ class FreeBoundaryAtlas:
     level_tol: float
     grad_tol: float
     wall_min_steps: int
+    wall_segments: np.ndarray = field(init=False)
 
-    def coords(self, sol: SpaceTimeSolution, rows) -> np.ndarray:
-        """(t, x...) coordinate rows of the selected events."""
-        return space_time_coords(sol, self.t_index[rows], self.idx[rows].T)
+    def __post_init__(self):
+        rows = self.gamma_v
+        self.wall_segments = time_segments(self.t_index[rows], self.idx[rows])
 
     def points(self, rows) -> list:
         """The selected events as SpaceTimePoints."""
@@ -202,7 +218,14 @@ def separation_check(
     """Minimum parabolic distance between the two discrete level sets.
 
     Samples the grid interior (``Grid.interior``) and returns the cap when
-    either set is empty.
+    either set is empty.  The value is the minimum over all (alpha point,
+    beta point) pairs of ``max(|x_a - x_b|, sqrt(|t_a - t_b|))``, found
+    without listing the pairs: each alpha slice walks outward through the
+    beta slices in order of increasing time lag, stops once ``sqrt(lag)``
+    reaches the best value so far, and reads each beta slice's exact
+    squared distance map (``_squared_distance_map``), built on first use.
+    Rounded sqrt, max and subtraction are monotone, so the result is the
+    pairwise minimum bit for bit.
     """
     level_tol = default_level_tol(sol) if level_tol is None else float(level_tol)
     th = sol.thresholds
@@ -210,19 +233,55 @@ def separation_check(
     interior = sol.grid.interior()
     near_a = (np.abs(sol.u - th.alpha) <= level_tol) & interior[None]
     near_b = (np.abs(sol.u - th.beta) <= level_tol) & interior[None]
-    pts_a, pts_b = (
-        space_time_coords(sol, nz[0], nz[1:])
-        for nz in (np.nonzero(near_a), np.nonzero(near_b))
-    )
-    if pts_a.shape[0] == 0 or pts_b.shape[0] == 0:
+    space = tuple(range(1, sol.u.ndim))
+    a_slices = np.nonzero(near_a.any(axis=space))[0].tolist()
+    b_slices = np.nonzero(near_b.any(axis=space))[0].tolist()
+    if not a_slices or not b_slices:
         return cap
 
+    times = sol.times.tolist()
+    b_times = [times[j] for j in b_slices]
+    dist2 = {}
     best = cap
-    chunk = max(1, int(5e7) // max(1, pts_b.shape[0]))
-    for start in range(0, pts_a.shape[0], chunk):
-        a = pts_a[start : start + chunk]
-        lag = np.abs(a[:, :1] - pts_b[None, :, 0])
-        d2 = ((a[:, None, 1:] - pts_b[None, :, 1:]) ** 2).sum(axis=-1)
-        crit = np.maximum(np.sqrt(d2), np.sqrt(lag))
-        best = min(best, float(crit.min()))
+    for i in a_slices:
+        t = times[i]
+        hi = bisect.bisect_left(b_times, t)
+        lo = hi - 1
+        while lo >= 0 or hi < len(b_slices):
+            if hi == len(b_slices) or (lo >= 0 and t - b_times[lo] <= b_times[hi] - t):
+                j, lag = b_slices[lo], t - b_times[lo]
+                lo -= 1
+            else:
+                j, lag = b_slices[hi], b_times[hi] - t
+                hi += 1
+            reach = math.sqrt(lag)
+            if reach >= best:
+                break
+            if j not in dist2:
+                dist2[j] = _squared_distance_map(near_b[j], sol.grid)
+            best = min(best, max(math.sqrt(float(dist2[j][near_a[i]].min())), reach))
+        # alpha slices come in time order and best only falls, so a beta
+        # slice this far below t is never reached again
+        for j in [j for j in dist2 if times[j] < t and math.sqrt(t - times[j]) >= best]:
+            del dist2[j]
     return best
+
+
+def _squared_distance_map(mask: np.ndarray, g: Grid) -> np.ndarray:
+    """Least squared spatial distance from every grid point to ``mask``.
+
+    Exact brute force, one axis at a time: in 2D, first
+    ``G[bx, ay] = min over by in mask[bx] of (y[ay] - y[by])**2``, then
+    ``D[ax, ay] = min over bx of (x[ax] - x[bx])**2 + G[bx, ay]``.  Rounded
+    addition is monotone, so ``D`` equals the minimum of the pairwise
+    ``dx**2 + dy**2``.
+    """
+    x, *rest = g.axes()
+    if not rest:
+        return ((x[:, None] - x[None, mask]) ** 2).min(axis=1)
+    (y,) = rest
+    out = np.full(g.shape, np.inf)
+    for bx in np.nonzero(mask.any(axis=1))[0]:
+        gy = ((y[:, None] - y[None, mask[bx]]) ** 2).min(axis=1)
+        np.minimum(out, (x[:, None] - x[bx]) ** 2 + gy[None, :], out=out)
+    return out

@@ -280,15 +280,26 @@ def cylinder_points(
     return pts
 
 
-def space_time_coords(sol: SpaceTimeSolution, t_index, idx) -> np.ndarray:
-    """(t, x...) coordinate rows of grid points.
+def time_segments(t_index, idx) -> np.ndarray:
+    """A grid point set as maximal runs of consecutive snapshots.
 
-    ``t_index`` holds n time indices and ``idx`` one length-n index array
-    per spatial axis, the layout ``np.nonzero`` returns.
+    ``t_index`` holds n time indices and ``idx`` the matching ``(n, dim)``
+    spatial indices; repeated points are allowed.  Returns an int64 array
+    with one row ``(first, last, i0, ...)`` per run: the point ``(i0, ...)``
+    belongs to the set at every snapshot from ``first`` to ``last``.  Rows
+    are sorted by spatial index, then time.
     """
-    axes = sol.grid.axes()
-    cols = [sol.times[t_index]] + [axes[a][i] for a, i in enumerate(idx)]
-    return np.stack(cols, axis=1)
+    idx = np.asarray(idx, dtype=np.int64)
+    t = np.asarray(t_index, dtype=np.int64)
+    order = np.lexsort((t, *idx.T[::-1]))
+    pt, t = idx[order], t[order]
+    # repeats of a point at one snapshot sit side by side and extend no run
+    breaks = (pt[1:] != pt[:-1]).any(axis=1) | (t[1:] > t[:-1] + 1)
+    first = np.ones(t.size, dtype=bool)
+    first[1:] = breaks
+    last = np.ones(t.size, dtype=bool)
+    last[:-1] = breaks
+    return np.column_stack([t[first], t[last], pt[first]])
 
 
 def parabolic_distance(
@@ -296,23 +307,25 @@ def parabolic_distance(
 ) -> float:
     """sup of radii whose discrete lower cylinder at z avoids S.
 
+    S holds the ``(first, last, i0, ...)`` rows of ``time_segments``.
     Computed in closed form: a point of S at spatial distance d and time
     lag dt below z first enters the lower cylinder at radius
-    ``max(d, sqrt(dt))``; points above z never enter.  S holds the
-    (t, x...) rows of ``space_time_coords``.  Returns the cap when S is
-    empty or never intersected.
+    ``max(d, sqrt(dt))``; points above z never enter.  Along one segment d
+    is fixed and the lag is least at its last snapshot not above z, so a
+    segment that starts at or before z contributes
+    ``max(d, sqrt(t0 - times[min(last, k0)]))`` and the cost is one row
+    per segment, not per point.  Returns the cap when S is empty or never
+    intersected.
     """
     cap = sol.r_max() if r_max is None else float(r_max)
-    if S.size == 0:
+    k0 = z.t_index
+    seg = S[S[:, 0] <= k0]
+    if seg.shape[0] == 0:
         return cap
-    t0 = sol.times[z.t_index]
-    x0 = sol.grid.coords(z.idx)
-    lag = t0 - S[:, 0]
-    below = lag >= -_SLACK
-    if not below.any():
-        return cap
-    d = np.sqrt(((S[below, 1:] - x0[None, :]) ** 2).sum(axis=1))
-    crit = np.maximum(d, np.sqrt(np.maximum(lag[below], 0.0)))
+    axes = sol.grid.axes()
+    d2 = sum((ax[i] - ax[i0]) ** 2 for ax, i, i0 in zip(axes, seg[:, 2:].T, z.idx))
+    lag = sol.times[k0] - sol.times[np.minimum(seg[:, 1], k0)]
+    crit = np.maximum(np.sqrt(d2), np.sqrt(lag))
     return float(min(cap, crit.min()))
 
 

@@ -257,8 +257,10 @@ def analyze_run(
     grad_tol: float | None = None,
     level_tol: float | None = None,
     radii=None,
-) -> Path:
-    """Classify, diagnose, and write the report files; returns the out dir."""
+) -> dict:
+    """Classify, diagnose, and write the report files into ``out_dir``
+    (default: the run directory); returns the summary written as
+    ``summary.json``."""
     from . import diagnostics as dg
 
     sol, cfg = load_run(run_dir)
@@ -305,7 +307,7 @@ def analyze_run(
 
     summary = _summary(sol, cfg, atlas, samples, phi_tables, signs, profile)
     (out_dir / "summary.json").write_bytes(_json_bytes(summary))
-    return out_dir
+    return summary
 
 
 def _phi_tables(sol, atlas, radii) -> list:

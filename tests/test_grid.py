@@ -16,8 +16,8 @@ from hysterm.grid import (
     hessian,
     laplacian,
     parabolic_distance,
-    space_time_coords,
     time_derivative,
+    time_segments,
 )
 from hysterm.relay import Thresholds
 
@@ -37,12 +37,11 @@ def make_sol(g: Grid, times, u=None, h_val=-1) -> SpaceTimeSolution:
     )
 
 
-def coords(sol: SpaceTimeSolution, pts) -> np.ndarray:
-    """(t, x) rows of a list of SpaceTimePoints."""
+def segments(sol: SpaceTimeSolution, pts) -> np.ndarray:
+    """``time_segments`` rows of a list of SpaceTimePoints."""
     t = np.array([p.t_index for p in pts], dtype=np.int64)
     idx = np.array([p.idx for p in pts], dtype=np.int64)
-    idx = idx.reshape(len(pts), sol.grid.dim)
-    return space_time_coords(sol, t, idx.T)
+    return time_segments(t, idx.reshape(len(pts), sol.grid.dim))
 
 
 class TestGridBasics:
@@ -255,25 +254,25 @@ class TestCylinders:
 class TestParabolicDistance:
     def test_empty_set_gives_cap(self, cyl_sol):
         z = SpaceTimePoint(20, (5,))
-        assert parabolic_distance(z, coords(cyl_sol, []), cyl_sol) == cyl_sol.r_max()
+        assert parabolic_distance(z, segments(cyl_sol, []), cyl_sol) == cyl_sol.r_max()
 
     def test_pure_time_lag(self, cyl_sol):
         """Same x, lag s below: dist = sqrt(s) (time reach of Q_r^- is r^2)."""
         z = SpaceTimePoint(30, (5,))
         s_pt = SpaceTimePoint(10, (5,))
         lag = cyl_sol.times[30] - cyl_sol.times[10]
-        d = parabolic_distance(z, coords(cyl_sol, [s_pt]), cyl_sol)
+        d = parabolic_distance(z, segments(cyl_sol, [s_pt]), cyl_sol)
         assert d == pytest.approx(np.sqrt(lag), abs=1e-12)
 
     def test_pure_spatial_offset(self, cyl_sol):
         z = SpaceTimePoint(30, (5,))
         s_pt = SpaceTimePoint(30, (8,))
-        d = parabolic_distance(z, coords(cyl_sol, [s_pt]), cyl_sol)
+        d = parabolic_distance(z, segments(cyl_sol, [s_pt]), cyl_sol)
         assert d == pytest.approx(0.3, abs=1e-12)
 
     def test_points_above_never_enter(self, cyl_sol):
         z = SpaceTimePoint(10, (5,))
-        S = coords(cyl_sol, [SpaceTimePoint(30, (5,))])
+        S = segments(cyl_sol, [SpaceTimePoint(30, (5,))])
         d = parabolic_distance(z, S, cyl_sol)
         assert d == cyl_sol.r_max()
 
@@ -285,11 +284,11 @@ class TestParabolicDistance:
             for _ in range(12)
         ]
         s1, s2 = pts[:5], pts[5:]
-        d_union = parabolic_distance(z, coords(cyl_sol, s1 + s2), cyl_sol)
+        d_union = parabolic_distance(z, segments(cyl_sol, s1 + s2), cyl_sol)
         assert d_union == pytest.approx(
             min(
-                parabolic_distance(z, coords(cyl_sol, s1), cyl_sol),
-                parabolic_distance(z, coords(cyl_sol, s2), cyl_sol),
+                parabolic_distance(z, segments(cyl_sol, s1), cyl_sol),
+                parabolic_distance(z, segments(cyl_sol, s2), cyl_sol),
             ),
             abs=1e-12,
         )
@@ -298,7 +297,7 @@ class TestParabolicDistance:
         """dist r*: lower cylinders of radius < r* avoid S, radius > r* hit it."""
         z = SpaceTimePoint(35, (5,))
         S = [SpaceTimePoint(20, (7,)), SpaceTimePoint(33, (3,))]
-        r_star = parabolic_distance(z, coords(cyl_sol, S), cyl_sol)
+        r_star = parabolic_distance(z, segments(cyl_sol, S), cyl_sol)
         sset = set(S)
         below = set(cylinder_points(cyl_sol, z, max(r_star - 0.01, 1e-3)))
         above = set(cylinder_points(cyl_sol, z, r_star + 0.06))

@@ -235,7 +235,8 @@ class TestRunPersistence:
 class TestAnalyze:
     def test_report_files(self, run_dir):
         rd, _, _ = run_dir
-        out = analyze_run(rd)
+        out = rd
+        analyze_run(rd)
         for name in (
             "atlas.csv",
             "growth.csv",
@@ -258,8 +259,9 @@ class TestAnalyze:
 
     def test_analyze_deterministic(self, run_dir, tmp_path):
         rd, _, _ = run_dir
-        out1 = analyze_run(rd, out_dir=tmp_path / "o1")
-        out2 = analyze_run(rd, out_dir=tmp_path / "o2")
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        analyze_run(rd, out_dir=out1)
+        analyze_run(rd, out_dir=out2)
         for name in ("atlas.csv", "growth.csv", "phi.csv", "signs.csv",
                      "profile.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -679,7 +681,8 @@ def test_phi_csv_2d_holds_plain_numbers(tmp_path):
         "preset": {"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1},
     }
     cfg = config_from_dict(data)
-    rd = analyze_run(save_run(run(cfg), cfg, tmp_path / "phi2d"))
+    rd = save_run(run(cfg), cfg, tmp_path / "phi2d")
+    analyze_run(rd)
     with open(rd / "phi.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert rows
