@@ -2,8 +2,8 @@
 
 Subcommands: ``run``, ``analyze``, ``sweep``, ``selftest-oscillator``.
 Exit codes: 0 success, 2 config error, 3 data integrity error,
-4 diagnostic assertion failure.  ``HYSTERM_THREADS`` caps sweep
-parallelism (default: hardware count).
+4 diagnostic assertion failure.  ``sweep`` runs its members in worker
+processes; ``HYSTERM_THREADS`` caps their number (default: hardware count).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +104,43 @@ def _sweep_child(base: dict, pointer: str, value, out_root: Path, tag: str):
     }
 
 
+def _failed_row(value, exc: Exception) -> dict:
+    return {
+        "value": value,
+        "status": "failed",
+        "gamma_v_count": "",
+        "profile_max": "",
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
+def _sweep_member(base: dict, pointer: str, value, out_root: Path, tag: str):
+    """One sweep member in a worker process; a failure becomes its row."""
+    try:
+        return _sweep_child(base, pointer, value, out_root, tag)
+    except Exception as exc:  # noqa: BLE001 - per-row failure recording
+        return _failed_row(value, exc)
+
+
+def _submit(pool, *job):
+    """``pool.submit(_sweep_member, *job)``; once a worker has died the pool
+    refuses new work, and the refusal becomes the future's exception."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return pool.submit(_sweep_member, *job)
+    except BrokenProcessPool as exc:
+        future = Future()
+        future.set_exception(exc)
+        return future
+
+
 def cmd_sweep(args) -> int:
+    # imported here: the process pool machinery is slow to import and only
+    # the sweep needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     cfg = load_config(args.config)
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     if not values:
@@ -121,21 +156,17 @@ def cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     base = cfg.to_dict()
 
-    def job(i):
-        value = values[i]
-        try:
-            return _sweep_child(base, args.param, value, out_root, f"v{i:03d}")
-        except Exception as exc:  # noqa: BLE001 - per-row failure recording
-            return {
-                "value": value,
-                "status": "failed",
-                "gamma_v_count": "",
-                "profile_max": "",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(pool.map(job, range(len(values))))
+    rows = []
+    with ProcessPoolExecutor(max_workers=max(1, min(workers, len(values)))) as pool:
+        futures = [
+            _submit(pool, base, args.param, value, out_root, f"v{i:03d}")
+            for i, value in enumerate(values)
+        ]
+        for value, future in zip(values, futures):
+            try:
+                rows.append(future.result())
+            except Exception as exc:  # noqa: BLE001 - e.g. a worker died
+                rows.append(_failed_row(value, exc))
 
     summary_path = out_root / "sweep_summary.csv"
     write_sweep_csv(rows, summary_path)

@@ -31,6 +31,7 @@ from .grid import (
     gradient,
     hessian,
     parabolic_distance,
+    spread_indices,
     time_derivative,
 )
 
@@ -324,8 +325,8 @@ def eligible_growth_centers(
             continue
         centers.append(z)
     if len(centers) > max_centers:
-        sel = np.linspace(0, len(centers) - 1, max_centers).astype(int)
-        centers = [centers[i] for i in np.unique(sel)]
+        sel = spread_indices(0, len(centers) - 1, max_centers)
+        centers = [centers[i] for i in sel]
     return centers, skipped
 
 
@@ -499,16 +500,12 @@ def regularity_profile(
 
     n_time = max(2, int(np.sqrt(sample_count)))
     n_space = max(2, sample_count // n_time)
-    t_picks = np.unique(
-        np.linspace(1, sol.num_snapshots - 1, n_time).astype(int)
-    )
+    t_picks = spread_indices(1, sol.num_snapshots - 1, n_time)
 
     interior = np.argwhere(sol.grid.interior()).tolist()
     if not interior:
         return RegularityProfile(samples=[], r_cap=cap)
-    s_picks = np.unique(
-        np.linspace(0, len(interior) - 1, n_space).astype(int)
-    )
+    s_picks = spread_indices(0, len(interior) - 1, n_space)
 
     hess = np.abs(hessian(sol.u[t_picks], sol.grid)).max(axis=(0, 1))
     dtu = np.abs(time_derivative(sol, t_picks))

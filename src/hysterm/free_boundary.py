@@ -37,6 +37,7 @@ from .grid import (
     SpaceTimeSolution,
     gradient,
     laplacian,
+    spread_indices,
     time_segments,
 )
 
@@ -95,7 +96,7 @@ def default_level_tol(sol: SpaceTimeSolution) -> float:
     dts = np.diff(sol.times)
     dt = float(dts.min()) if dts.size else 0.0
     dx2 = min(sol.grid.dx) ** 2
-    probe = np.unique(np.linspace(0, sol.num_snapshots - 1, 5).astype(int))
+    probe = spread_indices(0, sol.num_snapshots - 1, 5)
     resid = laplacian(sol.u[probe], sol.grid) - sol.h[probe]
     drift = max(1.0, float(np.abs(resid).max()))
     return max(1e-8, 2.0 * (dt + dx2) * drift)

@@ -82,8 +82,16 @@ class Grid:
     def shape(self) -> tuple:
         return self.nx
 
-    def axes(self) -> list:
-        return [np.linspace(0.0, e, n) for e, n in zip(self.extent, self.nx)]
+    @cached_property
+    def _axes(self) -> tuple:
+        axes = tuple(np.linspace(0.0, e, n) for e, n in zip(self.extent, self.nx))
+        for ax in axes:
+            ax.flags.writeable = False
+        return axes
+
+    def axes(self) -> tuple:
+        """Node coordinates per axis, built once; the arrays are read-only."""
+        return self._axes
 
     def mesh(self) -> list:
         """Coordinate arrays of shape ``self.shape``, one per axis."""
@@ -109,6 +117,17 @@ class Grid:
             gaps.append(i * d)
             gaps.append(ax_len - i * d)
         return float(min(gaps))
+
+
+def spread_indices(first: int, last: int, count: int) -> np.ndarray:
+    """Up to ``count`` evenly spread integers from ``first`` to ``last``
+    (``first <= last``), ascending and without repeats.
+
+    The same as ``np.unique`` of the truncated ``linspace``, which is
+    already sorted; ``np.unique`` would import ``numpy.ma`` on first use.
+    """
+    a = np.linspace(first, last, count).astype(int)
+    return a[np.diff(a, prepend=first - 1) > 0]
 
 
 def _check_field(f: np.ndarray, g: Grid) -> np.ndarray:

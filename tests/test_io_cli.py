@@ -3,11 +3,16 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hysterm.cli
 from hysterm.cli import main, measure_oscillator_period
 from hysterm.config import config_from_dict, load_config
 from hysterm.errors import CFLError, ConfigError, DataIntegrityError
@@ -23,6 +28,14 @@ from hysterm.reports import (
     write_snapshot_csv,
 )
 from hysterm.solver import run
+
+
+# a monkeypatched hysterm.cli._sweep_child reaches the sweep's worker
+# processes only when they are forked
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="needs the fork start method",
+)
 
 
 def minimal_dict(**overrides):
@@ -491,6 +504,113 @@ class TestCli:
         analyze_run(direct)
         assert (child / "atlas.csv").read_bytes() == (direct / "atlas.csv").read_bytes()
 
+    def test_sweep_members_match_direct_runs(self, tmp_path, monkeypatch):
+        values = [0.3, 0.5, 0.7]
+        p, _ = self.write_cfg(tmp_path, name="swd", output_dir=None)
+        direct = {}
+        for i, u0 in enumerate(values):
+            data = minimal_dict(name=f"swd_v{i:03d}", output_dir=None)
+            data["preset"] = dict(data["preset"], u0=u0)
+            cfg = config_from_dict(data)
+            run_dir = save_run(run(cfg), cfg, tmp_path / "direct" / f"v{i:03d}")
+            analyze_run(run_dir)
+            direct[run_dir.name] = {
+                f.name: f.read_bytes() for f in sorted(run_dir.iterdir())
+            }
+        summaries = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HYSTERM_THREADS", threads)
+            (tmp_path / threads).mkdir()
+            monkeypatch.chdir(tmp_path / threads)
+            assert main(
+                ["sweep", str(p), "--param", "/preset/u0",
+                 "--values", ",".join(map(str, values))]
+            ) == 0
+            out_root = tmp_path / threads / "runs" / "swd_sweep"
+            for tag, files in direct.items():
+                member = out_root / tag
+                got = {f.name: f.read_bytes() for f in sorted(member.iterdir())}
+                assert got.keys() == files.keys()
+                for name, data in files.items():
+                    assert got[name] == data, f"{threads} workers: {tag}/{name}"
+            summaries.append((out_root / "sweep_summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+        with (tmp_path / "1" / "runs" / "swd_sweep" / "sweep_summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["value"]) for r in rows] == values
+        assert all(r["status"] == "ok" for r in rows)
+
+    def test_sweep_under_spawn_matches_default(self, tmp_path):
+        # spawned workers import hysterm afresh and receive the member job
+        # pickled; the rows must not depend on the start method
+        p, _ = self.write_cfg(tmp_path, name="sws", output_dir=None, T=0.1)
+        script = (
+            "import multiprocessing, sys\n"
+            "from hysterm.cli import main\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "sys.exit(main(['sweep', sys.argv[2], '--param', '/preset/u0',"
+            " '--values', '0.3,0.7']))\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(hysterm.__file__).parents[1]),
+            HYSTERM_THREADS="2",
+        )
+        summaries = []
+        for method in ("spawn", multiprocessing.get_start_method()):
+            (tmp_path / method).mkdir(exist_ok=True)
+            subprocess.run(
+                [sys.executable, "-c", script, method, str(p)],
+                cwd=tmp_path / method, env=env, check=True, capture_output=True,
+            )
+            summaries.append(
+                (tmp_path / method / "runs" / "sws_sweep" / "sweep_summary.csv").read_text()
+            )
+        assert summaries[0] == summaries[1]
+        assert summaries[0].count(",ok,") == 2
+
+    @fork_only
+    def test_sweep_survives_dead_worker(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HYSTERM_THREADS", "2")
+        p, _ = self.write_cfg(tmp_path, name="swx", output_dir=None, T=0.1)
+        child = hysterm.cli._sweep_child
+
+        def dying_child(base, pointer, value, out_root, tag):
+            if value == 0.5:
+                os._exit(1)
+            return child(base, pointer, value, out_root, tag)
+
+        monkeypatch.setattr(hysterm.cli, "_sweep_child", dying_child)
+        code = main(
+            ["sweep", str(p), "--param", "/preset/u0", "--values", "0.3,0.5,0.7"]
+        )
+        assert code == 0
+        assert "3 rows" in capsys.readouterr().out
+        with (tmp_path / "runs" / "swx_sweep" / "sweep_summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["value"] for r in rows] == ["0.3", "0.5", "0.7"]
+        assert rows[1]["status"] == "failed"
+        assert rows[1]["error"].startswith("BrokenProcessPool: ")
+        # members still queued when the worker died fail the same way
+        for r in rows:
+            assert r["status"] == "ok" or r["error"].startswith("BrokenProcessPool: ")
+
+    @fork_only
+    def test_sweep_survives_pool_broken_while_submitting(self, tmp_path, monkeypatch):
+        # the first worker dies while the long value list is still being
+        # submitted, so the pool refuses the rest
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HYSTERM_THREADS", "2")
+        p, _ = self.write_cfg(tmp_path, name="swb", output_dir=None)
+        monkeypatch.setattr(hysterm.cli, "_sweep_child", lambda *job: os._exit(1))
+        values = ",".join(str(i) for i in range(20000))
+        assert main(["sweep", str(p), "--param", "/preset/u0", "--values", values]) == 0
+        with (tmp_path / "runs" / "swb_sweep" / "sweep_summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 20000
+        assert all(r["error"].startswith("BrokenProcessPool: ") for r in rows)
+
     def test_selftest_examples(self, capsys):
         period, expected = measure_oscillator_period(0.0, 1.0, 1e-3)
         assert expected == 2.0 and abs(period - 2.0) <= 2e-3
@@ -690,3 +810,28 @@ def test_phi_csv_2d_holds_plain_numbers(tmp_path):
         for field in row:
             for part in field.split(";"):
                 float(part)
+
+
+def test_run_and_analyze_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs about 15 ms to import; np.unique would pull it in
+    script = """
+import sys
+from hysterm.config import config_from_dict
+from hysterm.reports import analyze_run, save_run
+from hysterm.solver import run
+cfg = config_from_dict({
+    "name": "ma", "dim": 2, "extent": [1.0, 1.0], "nx": [11, 11],
+    "dt": 1e-3, "T": 0.05, "alpha": 0.0, "beta": 1.0,
+    "bc": {"kind": "neumann"},
+    "preset": {"kind": "sine", "amplitude": 1.0, "modes": 1, "h0": 1},
+})
+analyze_run(save_run(run(cfg), cfg, sys.argv[1]))
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(hysterm.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert (tmp_path / "run" / "summary.json").exists()
+    assert out.stdout.strip() == "False"
