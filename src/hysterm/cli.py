@@ -104,13 +104,13 @@ def _sweep_child(base: dict, pointer: str, value, out_root: Path, tag: str):
     }
 
 
-def _failed_row(value, exc: Exception) -> dict:
+def _failed_row(value, error: str) -> dict:
     return {
         "value": value,
         "status": "failed",
         "gamma_v_count": "",
         "profile_max": "",
-        "error": f"{type(exc).__name__}: {exc}",
+        "error": error,
     }
 
 
@@ -119,28 +119,67 @@ def _sweep_member(base: dict, pointer: str, value, out_root: Path, tag: str):
     try:
         return _sweep_child(base, pointer, value, out_root, tag)
     except Exception as exc:  # noqa: BLE001 - per-row failure recording
-        return _failed_row(value, exc)
+        return _failed_row(value, f"raised {type(exc).__name__}: {exc}")
 
 
-def _submit(pool, *job):
-    """``pool.submit(_sweep_member, *job)``; once a worker has died the pool
-    refuses new work, and the refusal becomes the future's exception."""
-    from concurrent.futures import Future
+def _run_members(jobs: list, workers: int) -> list:
+    """The rows of the sweep members, in job order.
+
+    A worker process that dies breaks its pool, and every member in flight
+    is lost with it, so members run in rounds, each in a fresh pool of
+    ``workers`` processes.  A round first runs the members stranded by the
+    last break one at a time, then the members not tried yet, at most
+    ``workers`` at a time.  A member alone in flight at a break has had its
+    own worker die and fails; several become the next round's stranded
+    members.  After two rounds in a row, the first round not counted, in
+    which no member returns, the members left fail as lost with the pool.
+    """
+    # imported here: the process pool machinery is slow to import and only
+    # the sweep needs it
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    try:
-        return pool.submit(_sweep_member, *job)
-    except BrokenProcessPool as exc:
-        future = Future()
-        future.set_exception(exc)
-        return future
+    rows = [None] * len(jobs)
+    # stacks, popped from the end, so that members run in job order
+    stranded, untried = [], list(range(len(jobs)))[::-1]
+    idle_rounds, first_round = 0, True
+    while (stranded or untried) and idle_rounds < 2:
+        returned, running = 0, {}
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            try:
+                for limit, queue in ((1, stranded), (workers, untried)):
+                    while queue or running:
+                        while queue and len(running) < limit:
+                            future = pool.submit(_sweep_member, *jobs[queue[-1]])
+                            running[future] = queue.pop()
+                        done, _ = wait(running, return_when=FIRST_COMPLETED)
+                        for future in done:
+                            rows[running[future]] = future.result()
+                            del running[future]
+                            returned += 1
+            except BrokenProcessPool:
+                lost = []
+                for future, i in running.items():
+                    try:  # a member may have returned before the break
+                        rows[i] = future.result()
+                        returned += 1
+                    except BrokenProcessPool:
+                        lost.append(i)
+                if len(lost) == 1:
+                    rows[lost[0]] = _failed_row(jobs[lost[0]][2], "BrokenProcessPool: "
+                                                "its worker process died while it ran")
+                else:
+                    stranded.extend(sorted(lost, reverse=True))
+        if not first_round:
+            idle_rounds = 0 if returned else idle_rounds + 1
+        first_round = False
+    for i in stranded + untried:
+        rows[i] = _failed_row(jobs[i][2], "BrokenProcessPool: lost with a broken "
+                              "worker pool and not run again")
+    return rows
 
 
 def cmd_sweep(args) -> int:
-    # imported here: the process pool machinery is slow to import and only
-    # the sweep needs it
-    from concurrent.futures import ProcessPoolExecutor
-
     cfg = load_config(args.config)
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     if not values:
@@ -156,17 +195,9 @@ def cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     base = cfg.to_dict()
 
-    rows = []
-    with ProcessPoolExecutor(max_workers=max(1, min(workers, len(values)))) as pool:
-        futures = [
-            _submit(pool, base, args.param, value, out_root, f"v{i:03d}")
-            for i, value in enumerate(values)
-        ]
-        for value, future in zip(values, futures):
-            try:
-                rows.append(future.result())
-            except Exception as exc:  # noqa: BLE001 - e.g. a worker died
-                rows.append(_failed_row(value, exc))
+    jobs = [(base, args.param, value, out_root, f"v{i:03d}")
+            for i, value in enumerate(values)]
+    rows = _run_members(jobs, max(1, min(workers, len(values))))
 
     summary_path = out_root / "sweep_summary.csv"
     write_sweep_csv(rows, summary_path)

@@ -4,9 +4,8 @@ Implements the measurable side of the regularity theory: oscillation and
 gradient growth ratios at degenerate jump points, one-sided sign checks of
 the time derivative at non-degenerate jump points, the heat-kernel
 weighted energy and the localized two-phase monotonicity functional, the
-space-time normal vector at non-degenerate points, a profile of
-|du/dt| + |D^2 u| against the distance to the vertical walls, and a
-mean-square gradient bound probe.
+space-time normal vector at non-degenerate points, and a profile of
+|du/dt| + |D^2 u| against the distance to the vertical walls.
 
 Empirical constants are reported, never asserted against theoretical
 values: the theory proves existence of bounds, not magnitudes.  This module
@@ -90,6 +89,124 @@ def _trapezoid_weights(g: Grid) -> np.ndarray:
     return w * np.prod(g.dx)
 
 
+class _Quadrature:
+    """The space-time quadrature at one centre, shared by radii and pairs.
+
+    Holds everything that depends only on the grid, the snapshot times, the
+    centre and the radius ladder (sorted ascending): the trapezoid weights
+    in space, the cells of each depth-r^2 slab with their widths, one
+    heat-kernel row per distinct cell mid-time and, given ``rho0``, the
+    cut-off xi and the cells and spatial mask of the depth-rho0^2 cylinder.
+    Fields enter over the snapshots ``lo .. t_star_index`` (``window``),
+    the only ones a slab or the cylinder reaches.  Every per-cell sum is one
+    row of a C-contiguous ``(rows, points)`` array summed along its rows;
+    ``_add_cells`` then adds the rows up cell by cell, in time order, as
+    the midpoint rule reads.
+    """
+
+    def __init__(self, g: Grid, times, x_star, t_star_index: int, radii,
+                 rho0: float | None = None):
+        self.radii = sorted(float(r) for r in radii)
+        if rho0 is not None and self.radii[-1] > rho0 + _SLACK:
+            raise ValueError("radii must not exceed rho0")
+        times = np.asarray(times, dtype=float)
+        self.g, self.x_star, self.rho0 = g, x_star, rho0
+        self.k_star = int(t_star_index)
+        t_star = times[self.k_star]
+        self.w = _trapezoid_weights(g).reshape(-1)
+        offsets = np.stack([x - c for x, c in zip(g.mesh(), x_star)], axis=-1)
+
+        # cells [times[k], times[k+1]] that overlap a slab ]t_lo, t_star[;
+        # each (cell, mid-time) row is summed once for all radii
+        lo_end, hi_end = times[: self.k_star], times[1 : self.k_star + 1]
+        rows, taus, self.terms = {}, {}, []
+        for r in self.radii:
+            t_lo = t_star - r * r
+            if t_lo < times[0] - _SLACK:
+                raise ValueError("integration slab exceeds stored snapshots")
+            cells = np.nonzero((hi_end > t_lo + _SLACK) & (lo_end < t_star - _SLACK))[0]
+            terms = []
+            for k in cells.tolist():
+                a_eff, b = max(times[k], t_lo), times[k + 1]
+                tau = t_star - 0.5 * (a_eff + b)
+                row = rows.setdefault((k, taus.setdefault(tau, len(taus))), len(rows))
+                terms.append((row, b - a_eff))
+            self.terms.append(terms)
+        self.lo = slab_lo = min((k for k, _ in rows), default=self.k_star)
+
+        if rho0 is not None:
+            self.xi = cutoff(np.stack(g.mesh(), axis=-1), x_star, rho0)
+            d2 = sum((x - c) ** 2 for x, c in zip(g.mesh(), x_star))
+            # the mask is 0 or 1, so folding it into the weights rounds nothing
+            self.wm = self.w * (d2 < rho0 * rho0).reshape(-1)
+            cyl = np.nonzero((hi_end > t_star - rho0 * rho0) & (lo_end < t_star))[0]
+            self.lo = min(self.lo, int(cyl[0])) if cyl.size else self.lo
+            self.cyl = cyl - self.lo
+            self.cyl_terms = list(enumerate(hi_end[cyl] - lo_end[cyl]))
+
+        kern = np.array([heat_kernel(offsets, t, g.dim) for t in taus])
+        kern = kern.reshape(len(taus), self.w.size)
+        cell_kern = np.array(list(rows), dtype=np.int64).reshape(-1, 2)
+        # energies take gradients from the first slab cell on only
+        self.slab_lo = slab_lo - self.lo
+        self.row_cell = cell_kern[:, 0] - slab_lo
+        self.row_kern = kern[cell_kern[:, 1]]
+
+    def window(self, stack: np.ndarray) -> np.ndarray:
+        """The snapshots ``lo .. t_star_index`` of a full stack."""
+        return stack[self.lo : self.k_star + 1]
+
+    def energies(self, v: np.ndarray) -> list:
+        """I(r, v) for each radius of the ladder, v given over the window."""
+        v = v[self.slab_lo :]
+        gsq = (gradient(v, self.g) ** 2).sum(axis=0).reshape(len(v), -1)
+        integrand = 0.5 * (gsq[self.row_cell] + gsq[self.row_cell + 1])
+        sums = (integrand * self.row_kern * self.w).sum(axis=1).tolist()
+        return [_add_cells(sums, terms) for terms in self.terms]
+
+    def l2_sq(self, v: np.ndarray) -> float:
+        """Squared L2 norm of v over the depth-rho0^2 cylinder."""
+        sq = (v**2).reshape(len(v), -1)
+        mid_sq = 0.5 * (sq[self.cyl] + sq[self.cyl + 1])
+        return _add_cells((mid_sq * self.wm).sum(axis=1).tolist(), self.cyl_terms)
+
+    def table(self, theta1, theta2, direction) -> PhiTable:
+        """The phi table of one pair, both parts given over the window."""
+        g, rho0 = self.g, self.rho0
+        i1 = self.energies(theta1 * self.xi)
+        i2 = self.energies(theta2 * self.xi)
+        phi_vals = [a * b / r**4 for a, b, r in zip(i1, i2, self.radii)]
+
+        n_emp = None
+        norm1 = self.l2_sq(theta1)
+        norm2 = self.l2_sq(theta2)
+        if norm1 > 0 and norm2 > 0:
+            n_emp = max(phi_vals) * rho0 ** (2 * g.dim + 8) / (norm1 * norm2)
+
+        center = SpaceTimePoint(self.k_star, _nearest_index(g, self.x_star))
+        dirvec = (
+            np.asarray(direction, dtype=float)
+            if direction is not None
+            else np.zeros(g.dim)
+        )
+        return PhiTable(
+            center=center,
+            direction=dirvec,
+            rho0=float(rho0),
+            radii=list(self.radii),
+            phi_values=phi_vals,
+            n_emp=n_emp,
+        )
+
+
+def _add_cells(sums: list, terms) -> float:
+    """Sum of ``width * sums[row]`` over the (row, width) terms, in order."""
+    total = 0.0
+    for row, width in terms:
+        total += width * sums[row]
+    return float(total)
+
+
 def weighted_energy_I(
     g: Grid,
     times: np.ndarray,
@@ -104,31 +221,9 @@ def weighted_energy_I(
     time with the kernel evaluated at cell midtimes (the singular top
     slice never enters), trapezoid-weighted sum in space.
     """
-    times = np.asarray(times, dtype=float)
-    t_star = times[t_star_index]
-    t_lo = t_star - r * r
-    if t_lo < times[0] - _SLACK:
-        raise ValueError("integration slab exceeds stored snapshots")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    w = _trapezoid_weights(g)
-    offsets = np.stack([x - c for x, c in zip(g.mesh(), x_star)], axis=-1)
-
-    # cells [times[k], times[k+1]] that overlap the slab ]t_lo, t_star[
-    lo_end, hi_end = times[:t_star_index], times[1 : t_star_index + 1]
-    cells = np.nonzero((hi_end > t_lo + _SLACK) & (lo_end < t_star - _SLACK))[0]
-    if cells.size == 0:
-        return 0.0
-    first = cells[0]
-    gsq = (gradient(v_stack[first : t_star_index + 1], g) ** 2).sum(axis=0)
-
-    total = 0.0
-    for k in cells:
-        a_eff, b = max(times[k], t_lo), times[k + 1]
-        mid = 0.5 * (a_eff + b)
-        kern = heat_kernel(offsets, t_star - mid, g.dim)
-        integrand = 0.5 * (gsq[k - first] + gsq[k + 1 - first])
-        total += (b - a_eff) * float((integrand * kern * w).sum())
-    return float(total)
+    quad = _Quadrature(g, times, x_star, t_star_index, [r])
+    return quad.energies(quad.window(v_stack))[0]
 
 
 @dataclass
@@ -160,38 +255,9 @@ def phi_from_pair(
     max_r Phi(r) * rho0^(2n+8) / (||theta1||^2 ||theta2||^2), when both
     cylinder L2 norms are nonzero.
     """
-    radii = sorted(float(r) for r in radii)
-    if radii[-1] > rho0 + _SLACK:
-        raise ValueError("radii must not exceed rho0")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    xi = cutoff(np.stack(g.mesh(), axis=-1), x_star, rho0)
-
-    phi_vals = []
-    for r in radii:
-        i1 = weighted_energy_I(g, times, theta1_stack * xi, x_star, t_star_index, r)
-        i2 = weighted_energy_I(g, times, theta2_stack * xi, x_star, t_star_index, r)
-        phi_vals.append(i1 * i2 / r**4)
-
-    n_emp = None
-    norm1 = _cylinder_l2_sq(g, times, theta1_stack, x_star, t_star_index, rho0)
-    norm2 = _cylinder_l2_sq(g, times, theta2_stack, x_star, t_star_index, rho0)
-    if norm1 > 0 and norm2 > 0:
-        n_emp = max(phi_vals) * rho0 ** (2 * g.dim + 8) / (norm1 * norm2)
-
-    center = SpaceTimePoint(int(t_star_index), _nearest_index(g, x_star))
-    dirvec = (
-        np.asarray(direction, dtype=float)
-        if direction is not None
-        else np.zeros(g.dim)
-    )
-    return PhiTable(
-        center=center,
-        direction=dirvec,
-        rho0=float(rho0),
-        radii=radii,
-        phi_values=phi_vals,
-        n_emp=n_emp,
-    )
+    quad = _Quadrature(g, times, x_star, t_star_index, radii, rho0)
+    return quad.table(quad.window(theta1_stack), quad.window(theta2_stack), direction)
 
 
 def _nearest_index(g: Grid, x: np.ndarray) -> tuple:
@@ -200,31 +266,6 @@ def _nearest_index(g: Grid, x: np.ndarray) -> tuple:
         int(np.clip(round(xi / d), 0, n - 1))
         for xi, d, n in zip(np.atleast_1d(x), g.dx, g.nx)
     )
-
-
-def _cylinder_l2_sq(g, times, v_stack, x_star, t_star_index, rho0) -> float:
-    t_star = times[t_star_index]
-    d2 = sum((x - c) ** 2 for x, c in zip(g.mesh(), x_star))
-    mask = d2 < rho0 * rho0
-    w = _trapezoid_weights(g)
-    total = 0.0
-    for k in range(t_star_index):
-        a, b = times[k], times[k + 1]
-        if b <= t_star - rho0 * rho0 or a >= t_star:
-            continue
-        mid_sq = 0.5 * (v_stack[k] ** 2 + v_stack[k + 1] ** 2)
-        total += (b - a) * float((mid_sq * w * mask).sum())
-    return float(total)
-
-
-def directional_derivative_stack(
-    sol: SpaceTimeSolution, e: np.ndarray
-) -> np.ndarray:
-    """D_e u per snapshot for a unit direction e."""
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
-    gvec = gradient(sol.u, sol.grid)
-    return sum(e[a] * gvec[a] for a in range(sol.grid.dim))
 
 
 def probe_directions(dim: int) -> list:
@@ -243,29 +284,29 @@ def probe_directions(dim: int) -> list:
 def acf_phi(
     sol: SpaceTimeSolution,
     z_star: SpaceTimePoint,
-    e: np.ndarray,
+    directions: Sequence,
     rho0: float,
     radii: Sequence[float],
-) -> PhiTable:
-    """Monotonicity functional with the positive/negative parts of D_e u."""
+) -> list:
+    """Monotonicity tables with the positive/negative parts of D_e u.
+
+    One table per direction e, in order.  The tables at the centre share
+    one quadrature and one gradient of u over its window; D_e u uses e
+    normalised, the table keeps e as given.
+    """
     t_star = sol.times[z_star.t_index]
     if max(radii) ** 2 > t_star - sol.times[0] + _SLACK:
         raise ValueError("t* must be at least max(radii)^2 above the start")
-    de = directional_derivative_stack(sol, e)
-    theta1 = np.maximum(de, 0.0)
-    theta2 = np.maximum(-de, 0.0)
-    x_star = sol.grid.coords(z_star.idx)
-    return phi_from_pair(
-        sol.grid,
-        sol.times,
-        theta1,
-        theta2,
-        x_star,
-        z_star.t_index,
-        rho0,
-        radii,
-        direction=e,
-    )
+    g = sol.grid
+    quad = _Quadrature(g, sol.times, g.coords(z_star.idx), z_star.t_index, radii, rho0)
+    gvec = gradient(quad.window(sol.u), g)
+    tables = []
+    for e in directions:
+        unit = np.asarray(e, dtype=float)
+        unit = unit / np.linalg.norm(unit)
+        de = sum(unit[a] * gvec[a] for a in range(g.dim))
+        tables.append(quad.table(np.maximum(de, 0.0), np.maximum(-de, 0.0), e))
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -526,32 +567,3 @@ def regularity_profile(
                 )
             )
     return RegularityProfile(samples=samples, r_cap=cap)
-
-
-def mean_square_gradient_bound(
-    sol: SpaceTimeSolution,
-    z0: SpaceTimePoint,
-    R: float,
-    e: np.ndarray,
-) -> tuple:
-    """(lhs, rhs) of the gradient-from-mean-square bound for v = D_e u.
-
-    lhs is |D_e v| at the center; rhs is sqrt(R^-2 * mean of v^2 over the
-    lower cylinder).  The ratio's stability across R is the consumer's
-    check; no constant is asserted.
-    """
-    if sol.grid.boundary_gap(z0.idx) < R or (
-        sol.times[z0.t_index] - sol.times[0]
-    ) < R * R - _SLACK:
-        raise ValueError("cylinder exceeds the domain")
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
-    v_stack = directional_derivative_stack(sol, e)
-    gvec = gradient(v_stack[z0.t_index], sol.grid)
-    lhs = abs(
-        float(sum(e[a] * gvec[a][z0.idx] for a in range(sol.grid.dim)))
-    )
-    tl, ml = cylinder_slices(sol, z0, R, lower_only=True)
-    block = v_stack[tl][:, ml]
-    rhs = float(np.sqrt((block**2).mean() / R**2))
-    return lhs, rhs

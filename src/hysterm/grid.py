@@ -93,9 +93,17 @@ class Grid:
         """Node coordinates per axis, built once; the arrays are read-only."""
         return self._axes
 
-    def mesh(self) -> list:
-        """Coordinate arrays of shape ``self.shape``, one per axis."""
-        return np.meshgrid(*self.axes(), indexing="ij")
+    @cached_property
+    def _mesh(self) -> tuple:
+        mesh = tuple(np.meshgrid(*self.axes(), indexing="ij"))
+        for x in mesh:
+            x.flags.writeable = False
+        return mesh
+
+    def mesh(self) -> tuple:
+        """Coordinate arrays of shape ``self.shape``, one per axis, built
+        once; the arrays are read-only."""
+        return self._mesh
 
     def interior(self) -> np.ndarray:
         """Mask of the points at least INTERIOR_MARGIN cells from the boundary."""

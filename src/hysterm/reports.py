@@ -322,8 +322,8 @@ def _phi_tables(sol, atlas, radii) -> list:
         if t_depth < r_need**2 or gap < r_need:
             continue
         rho0 = min(gap, max(r_need, 2.0 * r_need))
-        for e in dg.probe_directions(sol.grid.dim):
-            tables.append(dg.acf_phi(sol, z, e, rho0, radii))
+        directions = dg.probe_directions(sol.grid.dim)
+        tables.extend(dg.acf_phi(sol, z, directions, rho0, radii))
     return tables
 
 

@@ -13,7 +13,7 @@ from hysterm.free_boundary import (
     FreeBoundaryAtlas,
     grad_norm_stack,
 )
-from hysterm.grid import Grid, SpaceTimePoint, SpaceTimeSolution
+from hysterm.grid import Grid, SpaceTimePoint, SpaceTimeSolution, gradient
 from hysterm.relay import Thresholds
 
 TH = Thresholds(0.0, 1.0)
@@ -169,8 +169,8 @@ class TestPhi:
         assert tab.phi_values == [0.0]
 
     def test_oscillator_flat_field_vanishes(self, oscillator_sol):
-        tab = dg.acf_phi(
-            oscillator_sol, SpaceTimePoint(5000, (5,)), [1.0], 0.4, [0.1, 0.2]
+        (tab,) = dg.acf_phi(
+            oscillator_sol, SpaceTimePoint(5000, (5,)), [[1.0]], 0.4, [0.1, 0.2]
         )
         assert max(abs(v) for v in tab.phi_values) <= 1e-20
 
@@ -187,6 +187,134 @@ class TestPhi:
         v = np.zeros((times.size,) + g.shape)
         with pytest.raises(ValueError, match="rho0"):
             dg.phi_from_pair(g, times, v, v, [4.0], times.size - 1, 0.1, [0.2])
+
+
+# Reference: the phi tables computed radius by radius and direction by
+# direction, each radius rebuilding its cells, offsets, weights and kernel
+# values and each direction taking the gradient of the whole snapshot stack.
+# The shared quadrature must reproduce these floats exactly.
+
+
+def reference_energy(g, times, v_stack, x_star, t_star_index, r):
+    t_star = times[t_star_index]
+    t_lo = t_star - r * r
+    w = dg._trapezoid_weights(g)
+    offsets = np.stack([x - c for x, c in zip(g.mesh(), x_star)], axis=-1)
+    lo_end, hi_end = times[:t_star_index], times[1 : t_star_index + 1]
+    cells = np.nonzero((hi_end > t_lo + 1e-12) & (lo_end < t_star - 1e-12))[0]
+    if cells.size == 0:
+        return 0.0
+    first = cells[0]
+    gsq = (gradient(v_stack[first : t_star_index + 1], g) ** 2).sum(axis=0)
+    total = 0.0
+    for k in cells:
+        a_eff, b = max(times[k], t_lo), times[k + 1]
+        mid = 0.5 * (a_eff + b)
+        kern = dg.heat_kernel(offsets, t_star - mid, g.dim)
+        integrand = 0.5 * (gsq[k - first] + gsq[k + 1 - first])
+        total += (b - a_eff) * float((integrand * kern * w).sum())
+    return float(total)
+
+
+def reference_l2_sq(g, times, v_stack, x_star, t_star_index, rho0):
+    t_star = times[t_star_index]
+    d2 = sum((x - c) ** 2 for x, c in zip(g.mesh(), x_star))
+    mask = d2 < rho0 * rho0
+    w = dg._trapezoid_weights(g)
+    total = 0.0
+    for k in range(t_star_index):
+        a, b = times[k], times[k + 1]
+        if b <= t_star - rho0 * rho0 or a >= t_star:
+            continue
+        mid_sq = 0.5 * (v_stack[k] ** 2 + v_stack[k + 1] ** 2)
+        total += (b - a) * float((mid_sq * w * mask).sum())
+    return float(total)
+
+
+def reference_phi(g, times, th1, th2, x_star, t_star_index, rho0, radii):
+    """(radii, phi values, n_emp) of one pair."""
+    radii = sorted(float(r) for r in radii)
+    xi = dg.cutoff(np.stack(g.mesh(), axis=-1), x_star, rho0)
+    phi = []
+    for r in radii:
+        i1 = reference_energy(g, times, th1 * xi, x_star, t_star_index, r)
+        i2 = reference_energy(g, times, th2 * xi, x_star, t_star_index, r)
+        phi.append(i1 * i2 / r**4)
+    norm1 = reference_l2_sq(g, times, th1, x_star, t_star_index, rho0)
+    norm2 = reference_l2_sq(g, times, th2, x_star, t_star_index, rho0)
+    n_emp = None
+    if norm1 > 0 and norm2 > 0:
+        n_emp = max(phi) * rho0 ** (2 * g.dim + 8) / (norm1 * norm2)
+    return radii, phi, n_emp
+
+
+def reference_acf(sol, z, e, rho0, radii):
+    e = np.asarray(e, dtype=float)
+    unit = e / np.linalg.norm(e)
+    gvec = gradient(sol.u, sol.grid)
+    de = sum(unit[a] * gvec[a] for a in range(sol.grid.dim))
+    x_star = sol.grid.coords(z.idx)
+    return reference_phi(
+        sol.grid, sol.times, np.maximum(de, 0.0), np.maximum(-de, 0.0),
+        x_star, z.t_index, rho0, radii,
+    )
+
+
+def uneven_sol(g, num_snapshots, seed):
+    """Random fields on uneven snapshot times, so that slabs start mid-cell."""
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.008, 0.012, num_snapshots - 1))])
+    u = rng.standard_normal((num_snapshots,) + g.shape)
+    return make_sol(g, times, u)
+
+
+# (grid, snapshots, centre, rho0, radii, directions); the directions include
+# the 2D diagonals and one that is not a unit vector
+EQUIVALENCE_CASES = {
+    "1d": (Grid(extent=(2.0,), nx=(41,)), 40, SpaceTimePoint(31, (20,)), 0.65,
+           [0.3, 0.13, 0.21], [[1.0], [-2.5]]),
+    "2d_neumann": (Grid(extent=(1.0, 1.5), nx=(13, 17)), 30, SpaceTimePoint(24, (6, 9)),
+                   0.6, [0.12, 0.25, 0.4], dg.probe_directions(2) + [[2.0, -1.0]]),
+    "2d_dirichlet": (Grid(extent=(1.2, 1.2), nx=(15, 15), bc_kind="dirichlet"), 26,
+                     SpaceTimePoint(25, (8, 6)), 0.55, [0.35, 0.1], dg.probe_directions(2)),
+}
+
+
+class TestSharedQuadrature:
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_acf_tables_equal_per_radius_loop(self, case):
+        g, n, z, rho0, radii, directions = EQUIVALENCE_CASES[case]
+        sol = uneven_sol(g, n, seed=len(case))
+        t_star = sol.times[z.t_index]
+        # every slab starts inside a cell, the cylinder reaches snapshot 0
+        for r in radii:
+            assert not np.isin(t_star - r * r, sol.times)
+        assert t_star - rho0 * rho0 < sol.times[1]
+        tables = dg.acf_phi(sol, z, directions, rho0, radii)
+        assert len(tables) == len(directions)
+        for e, tab in zip(directions, tables):
+            want_radii, want_phi, want_n = reference_acf(sol, z, e, rho0, radii)
+            assert tab.radii == want_radii
+            assert tab.phi_values == want_phi
+            assert tab.n_emp == want_n and tab.n_emp is not None
+            assert tab.center == z and tab.rho0 == rho0
+            assert np.array_equal(tab.direction, np.asarray(e, dtype=float))
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_pair_and_energy_equal_per_radius_loop(self, case):
+        g, n, z, rho0, radii, _ = EQUIVALENCE_CASES[case]
+        sol = uneven_sol(g, n, seed=len(case) + 1)
+        th1 = np.maximum(sol.u, 0.0)
+        th2 = np.abs(np.roll(sol.u, 1, axis=0))
+        x_star = g.coords(z.idx)
+        tab = dg.phi_from_pair(g, sol.times, th1, th2, x_star, z.t_index, rho0, radii)
+        want = reference_phi(g, sol.times, th1, th2, x_star, z.t_index, rho0, radii)
+        assert (tab.radii, tab.phi_values, tab.n_emp) == want
+        assert np.array_equal(tab.direction, np.zeros(g.dim))
+        for r in radii + [rho0 / 7.0]:
+            got = dg.weighted_energy_I(g, sol.times, th1, x_star, z.t_index, r)
+            assert type(got) is float
+            assert got == reference_energy(g, sol.times, th1, x_star, z.t_index, r)
 
 
 class TestGrowth:
@@ -385,43 +513,6 @@ class TestRegularityProfile:
         events = set(zip(at.t_index.tolist(), map(tuple, at.idx.tolist())))
         assert prof.samples
         assert all((s.point.t_index, s.point.idx) not in events for s in prof.samples)
-
-
-class TestMeanSquareGradientBound:
-    def test_zero_field(self):
-        g = Grid(extent=(1.0,), nx=(21,))
-        times = np.arange(0.0, 0.05 + 1e-12, 2e-3)
-        sol = make_sol(g, times, np.full((times.size,) + g.shape, 0.3))
-        lhs, rhs = dg.mean_square_gradient_bound(
-            sol, SpaceTimePoint(times.size - 1, (10,)), 0.2, [1.0]
-        )
-        assert lhs == 0.0 and rhs == 0.0
-
-    def test_quadratic_sheet_sqrt3_ratio(self):
-        g = Grid(extent=(1.0,), nx=(201,))
-        x = g.axes()[0]
-        times = np.arange(0.0, 0.05 + 1e-12, 2e-3)
-        u = np.tile((x - 0.5) ** 2 / 2.0, (times.size, 1))
-        sol = make_sol(g, times, u)
-        z0 = SpaceTimePoint(times.size - 1, (100,))
-        for R in (0.1, 0.2):
-            lhs, rhs = dg.mean_square_gradient_bound(sol, z0, R, [1.0])
-            assert lhs / rhs == pytest.approx(np.sqrt(3.0), rel=0.05)
-
-    def test_oscillator_flat(self, oscillator_sol):
-        lhs, rhs = dg.mean_square_gradient_bound(
-            oscillator_sol, SpaceTimePoint(5000, (5,)), 0.2, [1.0]
-        )
-        assert lhs <= 1e-10 and rhs <= 1e-10
-
-    def test_cylinder_exceeding_domain(self):
-        g = Grid(extent=(1.0,), nx=(21,))
-        times = np.arange(0.0, 0.05 + 1e-12, 2e-3)
-        sol = make_sol(g, times, np.zeros((times.size,) + g.shape))
-        with pytest.raises(ValueError, match="domain"):
-            dg.mean_square_gradient_bound(
-                sol, SpaceTimePoint(times.size - 1, (1,)), 0.3, [1.0]
-            )
 
 
 class TestProbeDirections:

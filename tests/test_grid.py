@@ -175,6 +175,16 @@ class TestSnapshotStacks:
         with pytest.raises(ValueError):
             gradient(np.zeros((3, 6, 5)), g)
 
+    def test_mesh_and_axes_built_once_read_only(self):
+        g = Grid(extent=(1.0, 2.0), nx=(6, 9))
+        assert g.mesh() is g.mesh() and g.axes() is g.axes()
+        for arr in (*g.mesh(), *g.axes()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        fresh = np.meshgrid(*g.axes(), indexing="ij")
+        assert all(np.array_equal(a, b) for a, b in zip(g.mesh(), fresh))
+
     def test_mesh_and_interior(self):
         g = Grid(extent=(1.0, 2.0), nx=(6, 9))
         X, Y = g.mesh()

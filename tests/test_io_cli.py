@@ -486,6 +486,8 @@ class TestCli:
         )
         assert ",ok," in lines[1]
         assert ",failed," in lines[2]
+        # the error tells a member that raised from one lost with the pool
+        assert "raised CFLError: " in lines[2]
 
     def test_sweep_no_values(self, tmp_path, capsys):
         p, _ = self.write_cfg(tmp_path, name="swe")
@@ -569,37 +571,83 @@ class TestCli:
         assert summaries[0] == summaries[1]
         assert summaries[0].count(",ok,") == 2
 
-    @fork_only
-    def test_sweep_survives_dead_worker(self, tmp_path, monkeypatch, capsys):
+    def dying_sweep(self, tmp_path, monkeypatch, name, values, dying, threads="2"):
+        """Rows of a sweep over /preset/u0 whose members with a value in
+        ``dying`` kill their worker process."""
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("HYSTERM_THREADS", "2")
-        p, _ = self.write_cfg(tmp_path, name="swx", output_dir=None, T=0.1)
+        monkeypatch.setenv("HYSTERM_THREADS", threads)
+        p, _ = self.write_cfg(tmp_path, name=name, output_dir=None, T=0.1)
         child = hysterm.cli._sweep_child
 
         def dying_child(base, pointer, value, out_root, tag):
-            if value == 0.5:
+            if value in dying:
                 os._exit(1)
             return child(base, pointer, value, out_root, tag)
 
         monkeypatch.setattr(hysterm.cli, "_sweep_child", dying_child)
-        code = main(
-            ["sweep", str(p), "--param", "/preset/u0", "--values", "0.3,0.5,0.7"]
-        )
-        assert code == 0
-        assert "3 rows" in capsys.readouterr().out
-        with (tmp_path / "runs" / "swx_sweep" / "sweep_summary.csv").open() as fh:
+        text = ",".join(map(str, values))
+        assert main(["sweep", str(p), "--param", "/preset/u0", "--values", text]) == 0
+        with (tmp_path / "runs" / f"{name}_sweep" / "sweep_summary.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["value"] for r in rows] == ["0.3", "0.5", "0.7"]
-        assert rows[1]["status"] == "failed"
-        assert rows[1]["error"].startswith("BrokenProcessPool: ")
-        # members still queued when the worker died fail the same way
-        for r in rows:
-            assert r["status"] == "ok" or r["error"].startswith("BrokenProcessPool: ")
+        assert [float(r["value"]) for r in rows] == values
+        return rows
+
+    @fork_only
+    def test_sweep_survives_dead_worker(self, tmp_path, monkeypatch, capsys):
+        # 0.3 and 0.5 start side by side and 0.7 waits; the death can take
+        # 0.3 down too, and then both run again, one at a time
+        rows = self.dying_sweep(tmp_path, monkeypatch, "swx", [0.3, 0.5, 0.7], {0.5})
+        assert "3 rows, 1 failed" in capsys.readouterr().out
+        assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
+        assert rows[1]["error"] == (
+            "BrokenProcessPool: its worker process died while it ran"
+        )
+        # the members that ran again are those of a direct run
+        for tag, u0 in (("v000", 0.3), ("v002", 0.7)):
+            data = minimal_dict(name=f"swx_{tag}", output_dir=None, T=0.1)
+            data["preset"] = dict(data["preset"], u0=u0)
+            cfg = config_from_dict(data)
+            direct = save_run(run(cfg), cfg, tmp_path / "direct" / tag)
+            analyze_run(direct)
+            member = tmp_path / "runs" / "swx_sweep" / tag
+            assert sorted(p.name for p in member.iterdir()) == sorted(
+                p.name for p in direct.iterdir())
+            for f in direct.iterdir():
+                assert (member / f.name).read_bytes() == f.read_bytes(), f"{tag}/{f.name}"
+
+    @fork_only
+    def test_sweep_dead_worker_one_worker(self, tmp_path, monkeypatch):
+        # a member alone in flight fails at once; the next round runs the rest
+        rows = self.dying_sweep(
+            tmp_path, monkeypatch, "sw1w", [0.3, 0.5, 0.7], {0.5}, threads="1")
+        assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
+        assert rows[1]["error"] == (
+            "BrokenProcessPool: its worker process died while it ran"
+        )
+
+    @fork_only
+    def test_sweep_dead_worker_at_the_head(self, tmp_path, monkeypatch):
+        # the first member tried again dies: the round after it still runs
+        # the rest
+        rows = self.dying_sweep(
+            tmp_path, monkeypatch, "swh", [0.5, 0.3, 0.7, 0.4], {0.5})
+        assert [r["status"] for r in rows] == ["failed", "ok", "ok", "ok"]
+
+    @fork_only
+    def test_sweep_stops_after_two_idle_rounds(self, tmp_path, monkeypatch):
+        # two deaths in a row end the retries; the members not run again
+        # fail as lost, not as dead
+        rows = self.dying_sweep(
+            tmp_path, monkeypatch, "sws2", [0.5, 0.6, 0.3, 0.7], {0.5, 0.6})
+        died = "BrokenProcessPool: its worker process died while it ran"
+        lost = "BrokenProcessPool: lost with a broken worker pool and not run again"
+        assert [r["error"] for r in rows] == [died, died, lost, lost]
 
     @fork_only
     def test_sweep_survives_pool_broken_while_submitting(self, tmp_path, monkeypatch):
-        # the first worker dies while the long value list is still being
-        # submitted, so the pool refuses the rest
+        # every worker dies: after the first round the retries run one
+        # member at a time and stop after two rounds in which none returns,
+        # so the long value list costs a few pools, not a process per value
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("HYSTERM_THREADS", "2")
         p, _ = self.write_cfg(tmp_path, name="swb", output_dir=None)
@@ -610,6 +658,7 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 20000
         assert all(r["error"].startswith("BrokenProcessPool: ") for r in rows)
+        assert sum("worker process died" in r["error"] for r in rows) <= 3
 
     def test_selftest_examples(self, capsys):
         period, expected = measure_oscillator_period(0.0, 1.0, 1e-3)
@@ -789,6 +838,37 @@ def test_golden_digests_2d(tmp_path, monkeypatch, bc):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in Path("run").iterdir()}
     assert got == digests
+
+
+# A 2D analysis with non-empty phi tables: the benchmark's levelsets_2d
+# scenario, whose four Gamma_0 centres give 16 tables and 48 phi.csv rows.
+# The sine preset and the heat kernel go through numpy's sin and exp, whose
+# last bit may differ between SIMD code paths, so unlike the digests above
+# these hold for one numpy build on one CPU family (taken with numpy 2.4 on
+# x86-64 with AVX-512).
+GOLDEN_PHI_CONFIG = {
+    "name": "levelsets_2d", "dim": 2, "extent": [1.0, 1.0], "nx": [21, 21],
+    "dt": 5e-4, "T": 0.075, "alpha": 0.2, "beta": 0.7,
+    "bc": {"kind": "dirichlet", "value": 0.0}, "snapshot_stride": 5,
+    "preset": {"kind": "sine", "amplitude": 1.0, "modes": 1, "h0": -1},
+}
+GOLDEN_PHI_DIGESTS = {
+    "phi.csv": "0e1a9469a3dcac45515031449bd804f21ba4274a50c1bff6ca8095b661f5910c",
+    "summary.json": "0941a29f147430718591a78b744e3db592f936f7995bce274cfa82f5112c0faf",
+}
+
+
+def test_golden_digests_phi_2d(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("golden.json").write_text(json.dumps(dict(GOLDEN_PHI_CONFIG, output_dir="run")))
+    assert main(["run", "golden.json"]) == 0
+    assert main(["analyze", "run"]) == 0
+    assert len((Path("run") / "phi.csv").read_text().splitlines()) == 1 + 48
+    got = {
+        name: hashlib.sha256((Path("run") / name).read_bytes()).hexdigest()
+        for name in GOLDEN_PHI_DIGESTS
+    }
+    assert got == GOLDEN_PHI_DIGESTS
 
 
 def test_phi_csv_2d_holds_plain_numbers(tmp_path):
