@@ -3,9 +3,8 @@
 Implements the measurable side of the regularity theory: oscillation and
 gradient growth ratios at degenerate jump points, one-sided sign checks of
 the time derivative at non-degenerate jump points, the heat-kernel
-weighted energy and the localized two-phase monotonicity functional, the
-space-time normal vector at non-degenerate points, and a profile of
-|du/dt| + |D^2 u| against the distance to the vertical walls.
+weighted energy and the localized two-phase monotonicity functional, and a
+profile of |du/dt| + |D^2 u| against the distance to the vertical walls.
 
 Empirical constants are reported, never asserted against theoretical
 values: the theory proves existence of bounds, not magnitudes.  This module
@@ -405,7 +404,7 @@ def quadratic_growth(
 
 
 # ---------------------------------------------------------------------------
-# sign conditions, normals, profile
+# sign conditions, profile
 
 
 @dataclass
@@ -436,7 +435,7 @@ def sign_conditions(
     guard = 2.0 * float(np.sqrt(dts.min()))
     rows = atlas.gamma_star
     # no walls, no skips: the distance cap itself may lie below the guard
-    if len(atlas.gamma_v):
+    if len(atlas.walls):
         near = [
             parabolic_distance(z, atlas.wall_segments, sol) <= guard
             for z in atlas.points(rows)
@@ -454,42 +453,6 @@ def sign_conditions(
         worst_beta=float(up.min(initial=np.inf)),
         tol=float(tol),
     )
-
-
-def normal_vector(
-    sol: SpaceTimeSolution, z: SpaceTimePoint, eps: float = 1e-14
-) -> np.ndarray:
-    """Unit space-time normal (Du, du/dt)/|(Du, du/dt)| at a jump point.
-
-    Raises when the denominator vanishes, which signals that the point is
-    degenerate and belongs to the gradient-free part of the jump set.
-    """
-    if z.t_index < 1:
-        raise ValueError("normal_vector needs t_index >= 1")
-    gvec = gradient(sol.u[z.t_index], sol.grid)
-    du = np.array([gvec[a][z.idx] for a in range(sol.grid.dim)])
-    dtu = float(time_derivative(sol, z.t_index)[z.idx])
-    vec = np.append(du, dtu)
-    norm = float(np.linalg.norm(vec))
-    if norm <= eps:
-        raise ValueError(
-            "vanishing space-time gradient: point is degenerate"
-        )
-    return vec / norm
-
-
-def normal_probe(
-    sol: SpaceTimeSolution,
-    z: SpaceTimePoint,
-    n_vec: np.ndarray,
-    delta: float,
-) -> bool:
-    """True when stepping delta along the normal lands in the +1 region."""
-    x = sol.grid.coords(z.idx) + delta * n_vec[:-1]
-    t = sol.times[z.t_index] + delta * n_vec[-1]
-    idx = _nearest_index(sol.grid, x)
-    k = int(np.clip(np.searchsorted(sol.times, t), 0, sol.num_snapshots - 1))
-    return bool(sol.h[k][idx] > 0)
 
 
 @dataclass
@@ -537,6 +500,8 @@ def regularity_profile(
     """Deterministic stratified sample of off-boundary, off-event points."""
     on_event = np.zeros(sol.u.shape, dtype=bool)
     on_event[(atlas.t_index, *atlas.idx.T)] = True
+    for first, last, *idx in atlas.wall_segments.tolist():
+        on_event[(slice(first, last + 1), *idx)] = True
     cap = sol.r_max()
 
     n_time = max(2, int(np.sqrt(sample_count)))

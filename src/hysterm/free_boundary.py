@@ -10,13 +10,15 @@ tolerance) and a non-degenerate part.
 
 Events are grid points, not reconstructed sub-grid surfaces; downstream
 diagnostics integrate over cylinders and are insensitive to sub-grid
-placement.  This module only computes: ``hysterm.reports`` writes the
-event table as ``atlas.csv``.
+placement.  A wall is held once, as face runs: one row per face and
+maximal run of consecutive snapshots, never one row per snapshot.  This
+module only computes: ``hysterm.reports`` writes the jump events as
+``atlas.csv`` and the face runs as ``walls.csv``.
 
 Neither distance the theory uses scans all pairs of points.  The wall
-points are also kept as maximal runs of consecutive snapshots
+points are also kept as maximal runs of consecutive snapshots per point
 (``FreeBoundaryAtlas.wall_segments``), so a parabolic distance to Gamma_v
-costs one row per run, not per wall event.  ``separation_check`` builds an
+costs one row per run, not per wall point.  ``separation_check`` builds an
 exact squared distance map per beta slice, on first use, and visits slice
 pairs in order of increasing time lag until the lag alone rules out a
 closer pair; its memory is a few grid-sized maps instead of a block of
@@ -41,25 +43,30 @@ from .grid import (
     time_segments,
 )
 
-# int8 event kind codes; reports.KIND_NAMES names them in atlas.csv
-JUMP_DOWN, JUMP_UP, VERTICAL_WALL = 0, 1, 2
+# int8 jump kind codes; reports.KIND_NAMES names them in atlas.csv
+JUMP_DOWN, JUMP_UP = 0, 1
 
 DEFAULT_WALL_MIN_STEPS = 3
 
 
 @dataclass
 class FreeBoundaryAtlas:
-    """One event table and the classes as row-index arrays into it.
+    """The jump events as one table with the classes as row-index arrays
+    into it, and the vertical walls as face runs.
 
-    Row ``i`` is the event at grid point ``(t_index[i], idx[i])`` of kind
-    ``kind[i]``, with the field value, gradient norm and backward time
-    difference quotient there.  Rows hold the down-jumps (Gamma_alpha) in
-    (t, C-order index) order, then the up-jumps (Gamma_beta), then the wall
-    endpoints (Gamma_v) face by face; a point bordering two wall faces
-    appears once per face.  ``grad_norm_stack`` is |Du| per snapshot.
-    ``wall_segments`` holds the Gamma_v points as ``grid.time_segments``
-    rows, the form ``grid.parabolic_distance`` takes; it is built from the
-    table on construction.
+    Row ``i`` of the table is the jump at grid point ``(t_index[i],
+    idx[i])`` of kind ``kind[i]``, with the field value, gradient norm and
+    backward time difference quotient there.  Rows hold the down-jumps
+    (Gamma_alpha) in (t, C-order index) order, then the up-jumps
+    (Gamma_beta).  ``grad_norm_stack`` is |Du| per snapshot.
+
+    ``walls`` holds Gamma_v as int64 rows ``(axis, first, last, i0, ...)``:
+    the face between the points ``(i0, ...)`` and ``(i0, ...) + e_axis`` is
+    a wall at every snapshot from ``first`` to ``last``, and the run is
+    maximal.  Rows are sorted by axis, then face index in C order, then
+    ``first``.  ``wall_segments`` holds the wall points as
+    ``grid.time_segments`` rows, the form ``grid.parabolic_distance``
+    takes; it is built from ``walls`` on construction.
     """
 
     t_index: np.ndarray
@@ -70,9 +77,9 @@ class FreeBoundaryAtlas:
     dt_u: np.ndarray
     gamma_alpha: np.ndarray
     gamma_beta: np.ndarray
-    gamma_v: np.ndarray
     gamma_0: np.ndarray
     gamma_star: np.ndarray
+    walls: np.ndarray
     grad_norm_stack: np.ndarray
     level_tol: float
     grad_tol: float
@@ -80,8 +87,18 @@ class FreeBoundaryAtlas:
     wall_segments: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rows = self.gamma_v
-        self.wall_segments = time_segments(self.t_index[rows], self.idx[rows])
+        axis, first, last = self.walls[:, :3].T
+        face = self.walls[:, 3:]
+        other = face + (axis[:, None] == np.arange(face.shape[1]))
+        self.wall_segments = time_segments(
+            np.tile(first, 2), np.tile(last, 2), np.concatenate([face, other])
+        )
+
+    @property
+    def gamma_v_count(self) -> int:
+        """Gamma_v counted as events: both endpoints of each wall face at
+        each snapshot, so a point bordering two faces counts once per face."""
+        return 2 * int((self.walls[:, 2] - self.walls[:, 1] + 1).sum())
 
     def points(self, rows) -> list:
         """The selected events as SpaceTimePoints."""
@@ -131,28 +148,22 @@ def classify(
     k, *space = np.nonzero(sol.h[1:] != sol.h[:-1])
     went_up = sol.h[(k + 1, *space)] > sol.h[(k, *space)]
     jump_idx = np.stack(space, axis=1)
-    wall_t, wall_idx = _vertical_walls(sol, level_tol, wall_min_steps)
 
     down = ~went_up
-    t_index = np.concatenate([k[down] + 1, k[went_up] + 1, wall_t])
-    idx = np.concatenate([jump_idx[down], jump_idx[went_up], wall_idx])
+    t_index = np.concatenate([k[down], k[went_up]]) + 1
+    idx = np.concatenate([jump_idx[down], jump_idx[went_up]])
     n_alpha = int(down.sum())
-    n_jump = k.size
     kind = np.repeat(
-        np.array([JUMP_DOWN, JUMP_UP, VERTICAL_WALL], dtype=np.int8),
-        [n_alpha, n_jump - n_alpha, wall_t.size],
+        np.array([JUMP_DOWN, JUMP_UP], dtype=np.int8), [n_alpha, k.size - n_alpha]
     )
 
     at = (t_index, *idx.T)
     u = sol.u[at]
     gn = grad_norm_stack(sol)
     grad_norm = gn[at]
-    dt_u = np.zeros(t_index.size)
-    later = t_index >= 1
-    prev = (t_index[later] - 1, *idx[later].T)
-    dt_u[later] = (u[later] - sol.u[prev]) / np.diff(sol.times)[prev[0]]
+    dt_u = (u - sol.u[(t_index - 1, *idx.T)]) / np.diff(sol.times)[t_index - 1]
 
-    jumps = np.arange(n_jump)
+    jumps = np.arange(k.size)
     return FreeBoundaryAtlas(
         t_index=t_index,
         idx=idx,
@@ -162,9 +173,9 @@ def classify(
         dt_u=dt_u,
         gamma_alpha=jumps[:n_alpha],
         gamma_beta=jumps[n_alpha:],
-        gamma_v=np.arange(n_jump, t_index.size),
-        gamma_0=jumps[grad_norm[:n_jump] <= grad_tol],
-        gamma_star=jumps[grad_norm[:n_jump] > grad_tol],
+        gamma_0=jumps[grad_norm <= grad_tol],
+        gamma_star=jumps[grad_norm > grad_tol],
+        walls=_vertical_walls(sol, level_tol, wall_min_steps),
         grad_norm_stack=gn,
         level_tol=level_tol,
         grad_tol=grad_tol,
@@ -172,18 +183,23 @@ def classify(
     )
 
 
-def _vertical_walls(sol, level_tol, wall_min_steps):
+def _vertical_walls(sol, level_tol, wall_min_steps) -> np.ndarray:
     """Faces with opposite relay states and both values strictly in the band,
     persisting for at least ``wall_min_steps`` consecutive snapshots.
 
-    Returns (t_index, idx) of both endpoints of every qualifying face, axis
-    by axis, then slice by slice, faces in C order.
+    Returns the ``FreeBoundaryAtlas.walls`` rows ``(axis, first, last, i0,
+    ...)``, one per face and maximal run of such snapshots that is long
+    enough, sorted by axis, then face in C order, then ``first``.  The runs
+    come from one pass over time: with the face's activity padded by an
+    inactive snapshot at either end and time as the last axis, the changes
+    along time alternate between the start of a run and the snapshot after
+    its end.
     """
     th = sol.thresholds
     lo, hi = th.alpha + level_tol, th.beta - level_tol
     dim = sol.grid.dim
-    ts, idxs = [], []
     K = sol.num_snapshots
+    rows = []
     for axis in range(dim):
         sl_a = [slice(None)] * (dim + 1)
         sl_b = [slice(None)] * (dim + 1)
@@ -193,24 +209,16 @@ def _vertical_walls(sol, level_tol, wall_min_steps):
         ha, hb = sol.h[sl_a], sol.h[sl_b]
         ua, ub = sol.u[sl_a], sol.u[sl_b]
         active = (ha != hb) & (ua > lo) & (ua < hi) & (ub > lo) & (ub < hi)
-        # forward run length ending at each slice
-        runs = np.zeros(active.shape, dtype=np.int64)
-        runs[0] = active[0]
-        for k in range(1, K):
-            runs[k] = (runs[k - 1] + 1) * active[k]
-        # a slice belongs to a qualifying run iff the run it sits in reaches
-        # length >= wall_min_steps; propagate the run maximum backwards
-        peak = runs.copy()
-        for k in range(K - 2, -1, -1):
-            cont = active[k] & active[k + 1]
-            np.maximum(peak[k], np.where(cont, peak[k + 1], 0), out=peak[k])
-        t, *face = np.nonzero(active & (peak >= wall_min_steps))
-        face = np.stack(face, axis=1)
-        other = face.copy()
-        other[:, axis] += 1
-        ts.append(np.repeat(t, 2))
-        idxs.append(np.stack([face, other], axis=1).reshape(-1, dim))
-    return np.concatenate(ts), np.concatenate(idxs)
+        padded = np.zeros(active.shape[1:] + (K + 2,), dtype=bool)
+        padded[..., 1:-1] = np.moveaxis(active, 0, -1)
+        *face, k = np.nonzero(np.diff(padded, axis=-1))
+        first, last = k[0::2], k[1::2] - 1
+        keep = last - first + 1 >= wall_min_steps
+        rows.append(np.column_stack([
+            np.full(np.count_nonzero(keep), axis), first[keep], last[keep],
+            *(f[0::2][keep] for f in face),
+        ]))
+    return np.concatenate(rows)
 
 
 def separation_check(

@@ -295,38 +295,35 @@ def cylinder_slices(
     return np.nonzero(tmask)[0], _spatial_mask(sol.grid, x0, r)
 
 
-def cylinder_points(
-    sol: SpaceTimeSolution, z0: SpaceTimePoint, r: float, lower_only: bool = True
-) -> list:
-    """Explicit point list of the discrete parabolic cylinder."""
-    t_idx, mask = cylinder_slices(sol, z0, r, lower_only)
-    pts = []
-    spatial = list(zip(*np.nonzero(mask)))
-    for k in t_idx:
-        pts.extend(SpaceTimePoint(int(k), idx) for idx in spatial)
-    return pts
-
-
-def time_segments(t_index, idx) -> np.ndarray:
+def time_segments(first, last, idx) -> np.ndarray:
     """A grid point set as maximal runs of consecutive snapshots.
 
-    ``t_index`` holds n time indices and ``idx`` the matching ``(n, dim)``
-    spatial indices; repeated points are allowed.  Returns an int64 array
-    with one row ``(first, last, i0, ...)`` per run: the point ``(i0, ...)``
-    belongs to the set at every snapshot from ``first`` to ``last``.  Rows
-    are sorted by spatial index, then time.
+    Row ``j`` of the input puts the point ``idx[j]`` (``idx`` has shape
+    ``(n, dim)``) in the set at every snapshot from ``first[j]`` to
+    ``last[j]``; a single point has ``first == last``, and runs of one point
+    may repeat, overlap or abut.  Returns an int64 array with one row
+    ``(first, last, i0, ...)`` per maximal run of the union: the point
+    ``(i0, ...)`` belongs to the set at every snapshot from ``first`` to
+    ``last``.  Rows are sorted by spatial index, then time.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    t = np.asarray(t_index, dtype=np.int64)
-    order = np.lexsort((t, *idx.T[::-1]))
-    pt, t = idx[order], t[order]
-    # repeats of a point at one snapshot sit side by side and extend no run
-    breaks = (pt[1:] != pt[:-1]).any(axis=1) | (t[1:] > t[:-1] + 1)
-    first = np.ones(t.size, dtype=bool)
-    first[1:] = breaks
-    last = np.ones(t.size, dtype=bool)
-    last[:-1] = breaks
-    return np.column_stack([t[first], t[last], pt[first]])
+    first = np.asarray(first, dtype=np.int64)
+    last = np.asarray(last, dtype=np.int64)
+    order = np.lexsort((first, *idx.T[::-1]))
+    pt, first, last = idx[order], first[order], last[order]
+    new_pt = np.ones(first.size, dtype=bool)
+    new_pt[1:] = (pt[1:] != pt[:-1]).any(axis=1)
+    # latest snapshot reached so far by the runs of the same point: a
+    # running max of ``last`` offset by the point's group number, so that
+    # it never carries over from one point to the next
+    span = int(last.max(initial=0)) + 1
+    group = np.cumsum(new_pt) * span
+    reach = np.maximum.accumulate(group + last) - group
+    start = new_pt.copy()
+    start[1:] |= first[1:] > reach[:-1] + 1
+    end = np.ones(first.size, dtype=bool)
+    end[:-1] = start[1:]
+    return np.column_stack([first[start], reach[end], pt[start]])
 
 
 def parabolic_distance(

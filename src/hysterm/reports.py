@@ -8,8 +8,9 @@ Snapshots use shortest round-trip decimal formatting so reloading them is
 loss-free and reruns are byte-identical.
 
 Analysis reconstructs the solution from disk (verifying digests), runs the
-free-boundary classification and the diagnostics, and writes one CSV per
-diagnostic plus ``summary.json`` with the empirical constants.
+free-boundary classification and the diagnostics, and writes the jump
+events (``atlas.csv``), the wall face runs (``walls.csv``), one CSV per
+diagnostic and ``summary.json`` with the empirical constants.
 """
 
 from __future__ import annotations
@@ -274,6 +275,7 @@ def analyze_run(
 
     dim = sol.grid.dim
     write_atlas_csv(atlas, out_dir / "atlas.csv", dim)
+    _write_table(out_dir / "walls.csv", WALL_COLUMNS[: dim + 3], atlas.walls.tolist())
 
     samples = dg.quadratic_growth(sol, atlas, radii)
     _write_point_table(out_dir / "growth.csv", dim, [
@@ -337,7 +339,7 @@ def _summary(sol, cfg, atlas, samples, phi_tables, signs, profile) -> dict:
         "counts": {
             "gamma_alpha": len(atlas.gamma_alpha),
             "gamma_beta": len(atlas.gamma_beta),
-            "gamma_v": len(atlas.gamma_v),
+            "gamma_v": atlas.gamma_v_count,
             "gamma_0": len(atlas.gamma_0),
             "gamma_star": len(atlas.gamma_star),
         },
@@ -394,11 +396,13 @@ def _write_point_table(path, dim: int, columns, rows) -> None:
 
 
 # atlas.csv names of the free_boundary kind codes, in code order
-KIND_NAMES = ("JumpDown", "JumpUp", "VerticalWall")
+KIND_NAMES = ("JumpDown", "JumpUp")
+# walls.csv header; rows are FreeBoundaryAtlas.walls, in its order
+WALL_COLUMNS = ("axis", "first_t_index", "last_t_index", "x_index", "y_index")
 
 
 def write_atlas_csv(atlas: FreeBoundaryAtlas, path, dim: int) -> None:
-    """All events sorted by (t_index, spatial index, kind name)."""
+    """The jump events sorted by (t_index, spatial index, kind name)."""
     order = np.lexsort((atlas.kind, *atlas.idx.T[::-1], atlas.t_index))
     t, idx, kind, u, gn, dt_u = (a[order].tolist() for a in (
         atlas.t_index, atlas.idx, atlas.kind, atlas.u, atlas.grad_norm, atlas.dt_u))

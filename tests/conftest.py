@@ -48,6 +48,22 @@ def wall_atlas(wall_sol):
     return classify(wall_sol)
 
 
+def wall_points(atlas):
+    """Gamma_v as events from the face runs: (t_index, idx) of both
+    endpoints of every wall face at every snapshot of its run, so a point
+    bordering two faces appears once per face."""
+    dim = atlas.walls.shape[1] - 3
+    ts, idxs = [], []
+    for axis, first, last, *face in atlas.walls.tolist():
+        other = list(face)
+        other[axis] += 1
+        for k in range(first, last + 1):
+            ts += [k, k]
+            idxs += [face, other]
+    return (np.array(ts, dtype=np.int64),
+            np.array(idxs, dtype=np.int64).reshape(len(ts), dim))
+
+
 def fourier_heat_oracle(x: np.ndarray, t: float, kmax: int = 199) -> np.ndarray:
     """Exact solution of du/dt = u'' + 1 on [0,1], u(0)=u(1)=0, u0=sin(pi x).
 

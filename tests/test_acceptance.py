@@ -187,7 +187,7 @@ def test_criterion_08_regularity_profile(wall_sol, wall_atlas):
         cfg = bundled_config("gaussian_bump", dt=dt, snapshot_stride=stride)
         sol = run(cfg)
         atlas = classify(sol)
-        assert len(atlas.gamma_v) == 0
+        assert atlas.gamma_v_count == 0
         maxima.append(dg.regularity_profile(sol, atlas).global_max())
     drift = abs(maxima[1] - maxima[0]) / maxima[0]
     ok = monotone and np.isfinite(maxima).all() and drift <= 0.20
@@ -204,9 +204,9 @@ def test_criterion_08_regularity_profile(wall_sol, wall_atlas):
 def test_criterion_09_gamma_v_detection(
     oscillator_atlas, gaussian_atlas, wall_atlas
 ):
-    n_wall = len(wall_atlas.gamma_v)
-    n_osc = len(oscillator_atlas.gamma_v)
-    n_gauss = len(gaussian_atlas.gamma_v)
+    n_wall = wall_atlas.gamma_v_count
+    n_osc = oscillator_atlas.gamma_v_count
+    n_gauss = gaussian_atlas.gamma_v_count
     ok = n_wall > 0 and n_osc == 0 and n_gauss == 0
     report(
         9,

@@ -1,15 +1,15 @@
-"""Regularity diagnostics: kernels, energies, growth, signs, normals."""
+"""Regularity diagnostics: kernels, energies, growth, signs, profile."""
 
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from conftest import wall_points
 from hysterm import diagnostics as dg
 from hysterm.free_boundary import (
     JUMP_DOWN,
     JUMP_UP,
-    VERTICAL_WALL,
     FreeBoundaryAtlas,
     grad_norm_stack,
 )
@@ -36,12 +36,13 @@ class Event(NamedTuple):
     dt_u: float
 
 
-def make_atlas(sol, gamma_0=(), gamma_star=(), gamma_v=()):
-    """Atlas whose rows are gamma_0, then gamma_star, then gamma_v."""
-    events = list(gamma_0) + list(gamma_star) + list(gamma_v)
-    n_0, n_jump = len(gamma_0), len(gamma_0) + len(gamma_star)
+def make_atlas(sol, gamma_0=(), gamma_star=(), walls=()):
+    """Atlas whose rows are gamma_0, then gamma_star; ``walls`` holds face
+    runs ``(axis, first, last, i0, ...)``."""
+    events = list(gamma_0) + list(gamma_star)
+    n_0 = len(gamma_0)
     kind = np.array([e.kind for e in events], dtype=np.int8)
-    jumps = np.arange(n_jump)
+    jumps = np.arange(len(events))
     return FreeBoundaryAtlas(
         t_index=np.array([e.point.t_index for e in events], dtype=np.int64),
         idx=np.array([e.point.idx for e in events], dtype=np.int64).reshape(
@@ -51,11 +52,11 @@ def make_atlas(sol, gamma_0=(), gamma_star=(), gamma_v=()):
         u=np.array([e.u for e in events], dtype=float),
         grad_norm=np.array([e.grad_norm for e in events], dtype=float),
         dt_u=np.array([e.dt_u for e in events], dtype=float),
-        gamma_alpha=jumps[kind[:n_jump] == JUMP_DOWN],
-        gamma_beta=jumps[kind[:n_jump] == JUMP_UP],
-        gamma_v=np.arange(n_jump, len(events)),
+        gamma_alpha=jumps[kind == JUMP_DOWN],
+        gamma_beta=jumps[kind == JUMP_UP],
         gamma_0=jumps[:n_0],
         gamma_star=jumps[n_0:],
+        walls=np.array(walls, dtype=np.int64).reshape(len(walls), 3 + sol.grid.dim),
         grad_norm_stack=grad_norm_stack(sol),
         level_tol=1e-6,
         grad_tol=0.05,
@@ -424,10 +425,10 @@ class TestSignConditions:
         g = Grid(extent=(1.0,), nx=(21,))
         times = np.arange(0.0, 0.01 + 1e-12, 1e-3)
         sol = make_sol(g, times, np.zeros((times.size,) + g.shape))
-        wall = Event(SpaceTimePoint(3, (10,)), VERTICAL_WALL, 0.5, 0.0, 0.0)
+        wall = (0, 3, 3, 10)  # the face (10, 11) at snapshot 3 only
         bad = Event(SpaceTimePoint(3, (10,)), JUMP_DOWN, 0.0, 1.0, +1.0)
         report = dg.sign_conditions(
-            sol, make_atlas(sol, gamma_star=[bad], gamma_v=[wall]), tol=0.01
+            sol, make_atlas(sol, gamma_star=[bad], walls=[wall]), tol=0.01
         )
         assert report.total_violations == 0
         assert report.skipped_near_wall == 1
@@ -436,45 +437,6 @@ class TestSignConditions:
         dt = float(np.diff(gaussian_sol.times).min())
         report = dg.sign_conditions(gaussian_sol, gaussian_atlas, tol=10 * dt)
         assert report.total_violations == 0
-
-
-class TestNormalVector:
-    def make_transversal(self):
-        g = Grid(extent=(2.0,), nx=(201,))
-        x = g.axes()[0]
-        times = np.array([0.0, 0.01, 0.02])
-        u = np.stack([x - 1.0 - t for t in times])
-        h = np.where(u > 0, 1, -1).astype(np.int8)
-        return make_sol(g, times, u, h)
-
-    def test_formula_1d(self):
-        sol = self.make_transversal()
-        n = dg.normal_vector(sol, SpaceTimePoint(2, (101,)))
-        assert n == pytest.approx([1 / np.sqrt(2), -1 / np.sqrt(2)], abs=1e-10)
-        assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
-
-    def test_directedness_probe(self):
-        sol = self.make_transversal()
-        z = SpaceTimePoint(2, (101,))
-        n = dg.normal_vector(sol, z)
-        assert dg.normal_probe(sol, z, n, delta=0.05)
-
-    def test_pure_spatial_2d(self):
-        g = Grid(extent=(1.0, 1.0), nx=(11, 11))
-        X, _ = np.meshgrid(*g.axes(), indexing="ij")
-        times = np.array([0.0, 0.01])
-        u = np.stack([X, X])
-        sol = make_sol(g, times, u)
-        n = dg.normal_vector(sol, SpaceTimePoint(1, (5, 5)))
-        assert n == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
-
-    def test_degenerate_point_rejected(self):
-        g = Grid(extent=(1.0,), nx=(11,))
-        times = np.array([0.0, 0.01])
-        u = np.zeros((2,) + g.shape)
-        sol = make_sol(g, times, u)
-        with pytest.raises(ValueError, match="degenerate"):
-            dg.normal_vector(sol, SpaceTimePoint(1, (5,)))
 
 
 class TestRegularityProfile:
@@ -507,12 +469,19 @@ class TestRegularityProfile:
         for big, small in zip(vals, vals[1:]):
             assert big <= small + 1e-12
 
-    def test_samples_avoid_events(self, oscillator_sol, oscillator_atlas):
-        at = oscillator_atlas
-        prof = dg.regularity_profile(oscillator_sol, at)
-        events = set(zip(at.t_index.tolist(), map(tuple, at.idx.tolist())))
-        assert prof.samples
-        assert all((s.point.t_index, s.point.idx) not in events for s in prof.samples)
+    def test_samples_avoid_events(
+        self, oscillator_sol, oscillator_atlas, wall_sol, wall_atlas
+    ):
+        """No sample sits on a jump event or a wall point."""
+        for sol, at in ((oscillator_sol, oscillator_atlas), (wall_sol, wall_atlas)):
+            prof = dg.regularity_profile(sol, at)
+            wall_t, wall_idx = wall_points(at)
+            events = set(zip(at.t_index.tolist(), map(tuple, at.idx.tolist())))
+            events |= set(zip(wall_t.tolist(), map(tuple, wall_idx.tolist())))
+            assert prof.samples
+            assert all(
+                (s.point.t_index, s.point.idx) not in events for s in prof.samples
+            )
 
 
 class TestProbeDirections:

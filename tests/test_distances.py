@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wall_points
 from hysterm.config import config_from_dict
 from hysterm.free_boundary import classify, separation_check
 from hysterm.grid import (
@@ -140,14 +141,24 @@ class TestSeparationPinned:
         assert peak < 16 * 2**20
 
 
+def expand(first, last, idx):
+    """(t_index, idx) of every point the runs put in the set, repeats kept."""
+    t = [k for a, b in zip(first.tolist(), last.tolist()) for k in range(a, b + 1)]
+    return np.array(t, dtype=np.int64), np.repeat(idx, last - first + 1, axis=0)
+
+
 @st.composite
 def point_sets(draw):
-    """A solution, a random point set with repeats and runs, and a query."""
+    """A solution, random runs of points (single points, repeats, and runs
+    that overlap or abut), and a query."""
     sol = draw(solutions(values=(0.5,)))
     K, shape = sol.num_snapshots, sol.grid.shape
     n = draw(st.integers(0, 40))
-    t = np.array(draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n)),
-                 dtype=np.int64)
+    first = np.array(draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    length = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=n,
+                                    max_size=n)), dtype=np.int64)
+    last = np.minimum(first + length, K - 1)
     idx = np.array(
         [draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)) for m in shape],
         dtype=np.int64,
@@ -156,54 +167,59 @@ def point_sets(draw):
         # stretch the first point into a run over consecutive snapshots
         lo = draw(st.integers(0, K - 1))
         hi = draw(st.integers(lo, K - 1))
-        run_t = np.arange(lo, hi + 1)
-        t = np.concatenate([t, run_t])
-        idx = np.concatenate([idx, np.repeat(idx[:1], run_t.size, axis=0)])
+        first = np.concatenate([first, [lo]])
+        last = np.concatenate([last, [hi]])
+        idx = np.concatenate([idx, idx[:1]])
     z = SpaceTimePoint(
         draw(st.integers(0, K - 1)), tuple(draw(st.integers(0, m - 1)) for m in shape)
     )
-    return sol, t, idx, z
+    return sol, first, last, idx, z
 
 
 class TestSegmentDistance:
     @given(case=point_sets())
     @settings(max_examples=200, deadline=None)
     def test_equals_per_point_scan(self, case):
-        sol, t, idx, z = case
-        seg = time_segments(t, idx)
+        sol, first, last, idx, z = case
+        seg = time_segments(first, last, idx)
         assert parabolic_distance(z, seg, sol) == brute_parabolic_distance(
-            z, t, idx, sol
+            z, *expand(first, last, idx), sol
         )
 
     @given(case=point_sets())
     @settings(max_examples=100, deadline=None)
     def test_segments_cover_the_point_set(self, case):
         """Runs are maximal and disjoint, and expand to the distinct points."""
-        _, t, idx, _ = case
-        seg = time_segments(t, idx)
+        _, first, last, idx, _ = case
+        seg = time_segments(first, last, idx)
         assert (seg[:, 0] <= seg[:, 1]).all()
         expanded = {
             (k, *row[2:].tolist()) for row in seg for k in range(row[0], row[1] + 1)
         }
-        assert expanded == {(k, *i) for k, i in zip(t.tolist(), idx.tolist())}
+        t, pts = expand(first, last, idx)
+        assert expanded == {(k, *i) for k, i in zip(t.tolist(), pts.tolist())}
         assert len(expanded) == int((seg[:, 1] - seg[:, 0] + 1).sum())
         same_point = (seg[1:, 2:] == seg[:-1, 2:]).all(axis=1)
         assert (seg[1:, 0][same_point] > seg[:-1, 1][same_point] + 1).all()
 
     def test_plateau_walls_are_few_segments(self, plateau_sol, plateau_atlas):
-        """The bundled plateau's wall rows collapse to a few runs, and every
-        query through them matches the per-row scan."""
+        """The bundled plateau's wall points collapse to a few runs, and
+        every query through them matches the per-point scan."""
         at = plateau_atlas
-        rows = at.gamma_v
-        assert at.wall_segments.shape[0] < rows.size // 100
-        for z in at.points(np.concatenate([at.gamma_0, rows[::997]])):
+        t, idx = wall_points(at)
+        assert at.wall_segments.shape[0] < t.size // 100
+        queries = at.points(at.gamma_0) + [
+            SpaceTimePoint(k, tuple(i))
+            for k, i in zip(t[::997].tolist(), idx[::997].tolist())
+        ]
+        for z in queries:
             assert parabolic_distance(z, at.wall_segments, plateau_sol) == (
-                brute_parabolic_distance(z, at.t_index[rows], at.idx[rows], plateau_sol)
+                brute_parabolic_distance(z, t, idx, plateau_sol)
             )
 
 
 def test_classify_builds_wall_segments_2d(levelsets_sol):
     at = classify(levelsets_sol)
-    rows = at.gamma_v
-    assert rows.size > 0
-    assert np.array_equal(at.wall_segments, time_segments(at.t_index[rows], at.idx[rows]))
+    t, idx = wall_points(at)
+    assert t.size > 0
+    assert np.array_equal(at.wall_segments, time_segments(t, t, idx))

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import wall_points
 from hysterm.config import config_from_dict
 from hysterm.free_boundary import (
-    VERTICAL_WALL,
     classify,
     default_grad_tol,
     default_level_tol,
     separation_check,
 )
-from hysterm.grid import Grid, SpaceTimeSolution
+from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, SpaceTimeSolution
 from hysterm.relay import Thresholds
 from hysterm.reports import write_atlas_csv
 from hysterm.solver import run
@@ -40,7 +42,7 @@ class TestOscillatorAtlas:
         n_space = oscillator_sol.grid.nx[0]
         assert len(at.gamma_alpha) > 0 and len(at.gamma_alpha) % n_space == 0
         assert len(at.gamma_beta) > 0 and len(at.gamma_beta) % n_space == 0
-        assert len(at.gamma_v) == 0
+        assert len(at.walls) == 0 and at.gamma_v_count == 0
         assert len(at.gamma_star) == 0
         jumps = np.concatenate([at.gamma_alpha, at.gamma_beta])
         assert set(at.gamma_0.tolist()) == set(jumps.tolist())
@@ -84,7 +86,7 @@ class TestNoBoundaryCases:
         )
         sol = run(cfg)
         at = classify(sol)
-        assert len(at.gamma_alpha) == len(at.gamma_beta) == len(at.gamma_v) == 0
+        assert len(at.gamma_alpha) == len(at.gamma_beta) == at.gamma_v_count == 0
         assert (sol.h > 0).all()
 
     def test_single_snapshot_rejected(self):
@@ -103,16 +105,18 @@ class TestNoBoundaryCases:
 class TestVerticalWalls:
     def test_two_phase_wall_detected_at_midline(self, wall_sol, wall_atlas):
         at = wall_atlas
-        assert len(at.gamma_v) > 0
-        xs = set(at.idx[at.gamma_v, 0].tolist())
+        assert at.gamma_v_count > 0
+        t, idx = wall_points(at)
+        xs = set(idx[:, 0].tolist())
         mid = wall_sol.grid.nx[0] // 2
         assert xs <= {mid - 1, mid, mid + 1}
-        u = at.u[at.gamma_v]
+        u = wall_sol.u[(t, *idx.T)]
         assert ((at.level_tol < u) & (u < 1.0 - at.level_tol)).all()
 
-    def test_wall_values_strictly_inside_band(self, wall_atlas):
+    def test_wall_values_strictly_inside_band(self, wall_sol, wall_atlas):
         at = wall_atlas
-        u = at.u[at.gamma_v]
+        t, idx = wall_points(at)
+        u = wall_sol.u[(t, *idx.T)]
         assert ((0.0 + at.level_tol < u) & (u < 1.0 - at.level_tol)).all()
 
     def test_short_lived_interface_not_a_wall(self):
@@ -128,7 +132,7 @@ class TestVerticalWalls:
             grid=g, thresholds=Thresholds(0, 1), times=times, u=u, h=h
         )
         at = classify(sol, level_tol=1e-3, wall_min_steps=3)
-        assert (at.kind[at.gamma_v] != VERTICAL_WALL).all()
+        assert len(at.walls) == 0 and at.gamma_v_count == 0
 
     def test_persistent_interface_is_a_wall(self):
         g = Grid(extent=(1.0,), nx=(11,))
@@ -141,8 +145,9 @@ class TestVerticalWalls:
             grid=g, thresholds=Thresholds(0, 1), times=times, u=u, h=h
         )
         at = classify(sol, level_tol=1e-3, wall_min_steps=3)
-        assert len(at.gamma_v) == 2 * K  # both endpoints of one face, all slices
-        assert set(at.idx[at.gamma_v, 0].tolist()) == {4, 5}
+        assert at.walls.tolist() == [[0, 0, K - 1, 4]]  # one face, all slices
+        assert at.gamma_v_count == 2 * K  # both endpoints of the face
+        assert set(wall_points(at)[1][:, 0].tolist()) == {4, 5}
 
     def test_point_between_two_walls_listed_twice(self):
         """x=5 borders the persistent faces (4,5) and (5,6): one row per face."""
@@ -156,9 +161,10 @@ class TestVerticalWalls:
             grid=g, thresholds=Thresholds(0, 1), times=times, u=u, h=h
         )
         at = classify(sol, level_tol=1e-3, wall_min_steps=3)
-        assert len(at.gamma_v) == 4 * K
-        xs = at.idx[at.gamma_v, 0]
-        ts = at.t_index[at.gamma_v]
+        assert at.walls.tolist() == [[0, 0, K - 1, 4], [0, 0, K - 1, 5]]
+        assert at.gamma_v_count == 4 * K
+        ts, idx = wall_points(at)
+        xs = idx[:, 0]
         for k in range(K):
             assert sorted(xs[ts == k].tolist()) == [4, 5, 5, 6]
 
@@ -229,7 +235,7 @@ class TestDefaultsAndSerialization:
         a1 = classify(oscillator_sol)
         a2 = classify(oscillator_sol)
         for name in ("t_index", "idx", "kind", "u", "grad_norm", "dt_u",
-                     "gamma_alpha", "gamma_v"):
+                     "gamma_alpha", "walls", "wall_segments"):
             assert np.array_equal(getattr(a1, name), getattr(a2, name))
 
 
@@ -259,22 +265,23 @@ class TestClassify2D:
         _, at = sine_2d
         counts = {
             name: len(getattr(at, name))
-            for name in ("gamma_alpha", "gamma_beta", "gamma_v", "gamma_0",
-                         "gamma_star")
+            for name in ("gamma_alpha", "gamma_beta", "gamma_0", "gamma_star")
         }
+        counts["gamma_v"] = at.gamma_v_count
         assert counts == {"gamma_alpha": 52, "gamma_beta": 0, "gamma_v": 856,
                           "gamma_0": 16, "gamma_star": 36}
 
     def test_walls_are_face_endpoint_pairs(self, sine_2d):
+        """Every face run joins two neighbours along its axis, in opposite
+        relay states at every snapshot of the run."""
         sol, at = sine_2d
-        first, second = at.gamma_v.reshape(-1, 2).T
-        assert np.array_equal(at.t_index[first], at.t_index[second])
-        step = at.idx[second] - at.idx[first]
-        assert ((step == 0) | (step == 1)).all()
-        assert (step.sum(axis=1) == 1).all()
-        h_first = sol.h[(at.t_index[first], *at.idx[first].T)]
-        h_second = sol.h[(at.t_index[second], *at.idx[second].T)]
-        assert (h_first != h_second).all()
+        assert len(at.walls) > 0
+        for axis, first, last, *face in at.walls.tolist():
+            assert axis in (0, 1) and first <= last
+            other = list(face)
+            other[axis] += 1
+            span = slice(first, last + 1)
+            assert (sol.h[(span, *face)] != sol.h[(span, *other)]).all()
 
     def test_atlas_csv_2d(self, sine_2d, tmp_path):
         _, at = sine_2d
@@ -282,6 +289,110 @@ class TestClassify2D:
         write_atlas_csv(at, p, dim=2)
         lines = p.read_text().splitlines()
         assert lines[0] == "t_index,x_index,y_index,kind,u_value,grad_norm,dt_u"
-        assert len(lines) == 1 + len(at.gamma_alpha) + len(at.gamma_beta) + len(
-            at.gamma_v
-        )
+        assert len(lines) == 1 + len(at.gamma_alpha) + len(at.gamma_beta)
+
+
+def reference_vertical_walls(sol, level_tol, wall_min_steps):
+    """The per-snapshot wall extraction the face runs replaced, kept as the
+    reference: (t_index, idx) of both endpoints of every qualifying face,
+    from a forward run length and a backward run maximum, snapshot by
+    snapshot."""
+    th = sol.thresholds
+    lo, hi = th.alpha + level_tol, th.beta - level_tol
+    dim = sol.grid.dim
+    ts, idxs = [], []
+    K = sol.num_snapshots
+    for axis in range(dim):
+        sl_a = [slice(None)] * (dim + 1)
+        sl_b = [slice(None)] * (dim + 1)
+        sl_a[axis + 1] = slice(None, -1)
+        sl_b[axis + 1] = slice(1, None)
+        sl_a, sl_b = tuple(sl_a), tuple(sl_b)
+        ha, hb = sol.h[sl_a], sol.h[sl_b]
+        ua, ub = sol.u[sl_a], sol.u[sl_b]
+        active = (ha != hb) & (ua > lo) & (ua < hi) & (ub > lo) & (ub < hi)
+        runs = np.zeros(active.shape, dtype=np.int64)
+        runs[0] = active[0]
+        for k in range(1, K):
+            runs[k] = (runs[k - 1] + 1) * active[k]
+        peak = runs.copy()
+        for k in range(K - 2, -1, -1):
+            cont = active[k] & active[k + 1]
+            np.maximum(peak[k], np.where(cont, peak[k + 1], 0), out=peak[k])
+        t, *face = np.nonzero(active & (peak >= wall_min_steps))
+        face = np.stack(face, axis=1)
+        other = face.copy()
+        other[:, axis] += 1
+        ts.append(np.repeat(t, 2))
+        idxs.append(np.stack([face, other], axis=1).reshape(-1, dim))
+    return np.concatenate(ts), np.concatenate(idxs)
+
+
+def reference_segments(t, idx) -> list:
+    """Maximal runs of consecutive snapshots per point, as lists
+    ``[first, last, i0, ...]`` sorted by point, then time."""
+    rows = []
+    for point, k in sorted({(tuple(i), k) for k, i in zip(t.tolist(), idx.tolist())}):
+        if rows and rows[-1][2:] == list(point) and rows[-1][1] == k - 1:
+            rows[-1][1] = k
+        else:
+            rows.append([k, k, *point])
+    return rows
+
+
+@st.composite
+def relay_stacks(draw):
+    """Random +-1 relay and u stacks on a small 1D or 2D grid; h keeps its
+    value from one snapshot to the next with a drawn probability, and one
+    drawn row of points may sit between two opposite neighbours throughout,
+    so that it borders two wall faces."""
+    dim = draw(st.sampled_from([1, 2]))
+    nx = tuple(draw(st.integers(3, 7)) for _ in range(dim))
+    bc = draw(st.sampled_from([BC_NEUMANN, BC_DIRICHLET]))
+    K = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    h = np.empty((K,) + nx, dtype=np.int8)
+    h[0] = rng.choice([-1, 1], size=nx)
+    for k in range(1, K):
+        h[k] = np.where(rng.random(nx) < keep, h[k - 1], rng.choice([-1, 1], size=nx))
+    if draw(st.booleans()):
+        j = draw(st.integers(1, nx[0] - 2))
+        h[:, j - 1] = h[:, j + 1] = 1
+        h[:, j] = -1
+    # inside the band (0.05, 0.95) that level_tol 0.05 leaves, or outside it,
+    # its two ends included
+    inside = rng.random((K,) + nx) < draw(st.sampled_from([0.5, 0.9, 1.0]))
+    u = np.where(inside, rng.choice([0.3, 0.5, 0.9], size=inside.shape),
+                 rng.choice([-0.1, 0.05, 0.95, 1.1], size=inside.shape))
+    return SpaceTimeSolution(
+        grid=Grid(extent=(1.0,) * dim, nx=nx, bc_kind=bc),
+        thresholds=Thresholds(0.0, 1.0),
+        times=np.arange(K) * 1e-3,
+        u=u,
+        h=h,
+    )
+
+
+class TestWallRuns:
+    @given(sol=relay_stacks(), wall_min_steps=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_expand_to_reference_walls(self, sol, wall_min_steps):
+        """The face runs expand to exactly the per-snapshot endpoint
+        multiset, the count is its length, and the segments equal the
+        reference runs of those points."""
+        at = classify(sol, level_tol=0.05, wall_min_steps=wall_min_steps)
+        ref_t, ref_idx = reference_vertical_walls(sol, 0.05, wall_min_steps)
+        t, idx = wall_points(at)
+
+        def multiset(t, idx):
+            return sorted(zip(t.tolist(), map(tuple, idx.tolist())))
+
+        assert multiset(t, idx) == multiset(ref_t, ref_idx)
+        assert at.gamma_v_count == ref_t.size
+        assert at.wall_segments.tolist() == reference_segments(ref_t, ref_idx)
+        assert at.wall_segments.dtype == np.int64
+        lengths = at.walls[:, 2] - at.walls[:, 1] + 1
+        assert (lengths >= wall_min_steps).all()
+        order = np.lexsort((at.walls[:, 1], *at.walls[:, 3:].T[::-1], at.walls[:, 0]))
+        assert (order == np.arange(len(at.walls))).all()

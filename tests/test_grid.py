@@ -10,7 +10,6 @@ from hysterm.grid import (
     SpaceTimePoint,
     SpaceTimeSolution,
     boundary_distance,
-    cylinder_points,
     cylinder_slices,
     gradient,
     hessian,
@@ -41,7 +40,14 @@ def segments(sol: SpaceTimeSolution, pts) -> np.ndarray:
     """``time_segments`` rows of a list of SpaceTimePoints."""
     t = np.array([p.t_index for p in pts], dtype=np.int64)
     idx = np.array([p.idx for p in pts], dtype=np.int64)
-    return time_segments(t, idx.reshape(len(pts), sol.grid.dim))
+    return time_segments(t, t, idx.reshape(len(pts), sol.grid.dim))
+
+
+def cylinder_set(sol: SpaceTimeSolution, z0: SpaceTimePoint, r: float) -> set:
+    """The points of the discrete lower cylinder of radius r at z0."""
+    t_idx, mask = cylinder_slices(sol, z0, r)
+    spatial = [tuple(i) for i in np.argwhere(mask).tolist()]
+    return {SpaceTimePoint(k, idx) for k in t_idx.tolist() for idx in spatial}
 
 
 class TestGridBasics:
@@ -226,12 +232,11 @@ def cyl_sol():
 class TestCylinders:
     def test_tiny_radius_is_singleton(self, cyl_sol):
         z0 = SpaceTimePoint(20, (5,))
-        pts = cylinder_points(cyl_sol, z0, 0.01)
-        assert pts == [z0]
+        assert cylinder_set(cyl_sol, z0, 0.01) == {z0}
 
     def test_domain_spanning_radius(self, cyl_sol):
         z0 = SpaceTimePoint(20, (5,))
-        pts = cylinder_points(cyl_sol, z0, 10.0)
+        pts = cylinder_set(cyl_sol, z0, 10.0)
         n_space = cyl_sol.grid.nx[0]
         assert len(pts) == 21 * n_space
         assert all(p.t_index <= 20 for p in pts)
@@ -247,7 +252,7 @@ class TestCylinders:
         z0 = SpaceTimePoint(30, (5,))
         prev = set()
         for r in (0.05, 0.1, 0.2, 0.3):
-            cur = set(cylinder_points(cyl_sol, z0, r))
+            cur = cylinder_set(cyl_sol, z0, r)
             assert prev <= cur
             prev = cur
 
@@ -258,7 +263,7 @@ class TestCylinders:
 
     def test_nonpositive_radius(self, cyl_sol):
         with pytest.raises(ValueError):
-            cylinder_points(cyl_sol, SpaceTimePoint(5, (5,)), 0.0)
+            cylinder_slices(cyl_sol, SpaceTimePoint(5, (5,)), 0.0)
 
 
 class TestParabolicDistance:
@@ -309,8 +314,8 @@ class TestParabolicDistance:
         S = [SpaceTimePoint(20, (7,)), SpaceTimePoint(33, (3,))]
         r_star = parabolic_distance(z, segments(cyl_sol, S), cyl_sol)
         sset = set(S)
-        below = set(cylinder_points(cyl_sol, z, max(r_star - 0.01, 1e-3)))
-        above = set(cylinder_points(cyl_sol, z, r_star + 0.06))
+        below = cylinder_set(cyl_sol, z, max(r_star - 0.01, 1e-3))
+        above = cylinder_set(cyl_sol, z, r_star + 0.06)
         assert not (below & sset)
         assert above & sset
 

@@ -252,6 +252,7 @@ class TestAnalyze:
         analyze_run(rd)
         for name in (
             "atlas.csv",
+            "walls.csv",
             "growth.csv",
             "phi.csv",
             "signs.csv",
@@ -261,6 +262,23 @@ class TestAnalyze:
             assert (out / name).exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["counts"]["gamma_v"] == 0
+
+    def test_walls_csv_lists_the_face_runs(self, tmp_path):
+        """A relay wall seeded between x=0.4 and x=0.5 persists through the
+        run: one face run over every snapshot, counted as both endpoints
+        at each snapshot."""
+        cfg = config_from_dict(minimal_dict(name="wall", T=0.05, preset={
+            "kind": "two_phase_wall", "u0": 0.5, "wall_position": 0.45}))
+        rd = save_run(run(cfg), cfg, tmp_path / "w")
+        summary = analyze_run(rd)
+        last = json.loads((rd / "manifest.json").read_text())["num_snapshots"] - 1
+        assert (rd / "walls.csv").read_text().splitlines() == [
+            "axis,first_t_index,last_t_index,x_index", f"0,0,{last},4"
+        ]
+        assert summary["counts"]["gamma_v"] == 2 * (last + 1)
+        assert (rd / "atlas.csv").read_text().splitlines() == [
+            "t_index,x_index,kind,u_value,grad_norm,dt_u"
+        ]
 
     def test_frozen_run_has_no_temporal_events(self, tmp_path):
         cfg = config_from_dict(minimal_dict(freeze_h=True, name="frozen"))
