@@ -35,6 +35,13 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _positive(flag: str, value: float | None) -> float | None:
+    """``value`` if it is None or a finite positive number; ConfigError otherwise."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be finite and positive, got {value!r}")
+    return value
+
+
 def _parse_radii(text):
     if not text:
         return None
@@ -42,16 +49,16 @@ def _parse_radii(text):
         vals = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --radii value: {exc}") from exc
-    if not vals or any(v <= 0 for v in vals):
+    if not vals:
         raise ConfigError("--radii needs positive comma-separated values")
-    return vals
+    return [_positive("--radii", v) for v in vals]
 
 
 def cmd_analyze(args) -> int:
     summary = analyze_run(
         args.run_dir,
-        grad_tol=args.grad_tol,
-        level_tol=args.level_tol,
+        grad_tol=_positive("--grad-tol", args.grad_tol),
+        level_tol=_positive("--level-tol", args.level_tol),
         radii=_parse_radii(args.radii),
     )
     print(
@@ -63,20 +70,29 @@ def cmd_analyze(args) -> int:
 
 
 def _set_pointer(data: dict, pointer: str, value):
-    """Minimal RFC 6901 JSON-pointer assignment into nested dicts/lists."""
+    """Minimal RFC 6901 JSON-pointer assignment into nested dicts/lists.
+
+    The last token may name a new key of an existing object; a pointer that
+    does not resolve otherwise raises ConfigError.
+    """
     if not pointer.startswith("/"):
-        raise HystermError(f"param must be a JSON pointer starting with '/': {pointer}")
-    tokens = [
+        raise ConfigError(f"param must be a JSON pointer starting with '/': {pointer}")
+    *path, last = (
         t.replace("~1", "/").replace("~0", "~") for t in pointer[1:].split("/")
-    ]
-    node = data
-    for tok in tokens[:-1]:
-        node = node[int(tok)] if isinstance(node, list) else node[tok]
-    last = tokens[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+    )
+    try:
+        node = data
+        for tok in path:
+            node = node[int(tok)] if isinstance(node, list) else node[tok]
+        if isinstance(node, list):
+            node[int(last)] = value
+        else:
+            node[last] = value
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"param {pointer} does not resolve in the config: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
 
 
 def _parse_value(text: str):
@@ -184,6 +200,9 @@ def cmd_sweep(args) -> int:
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("no values")
+    # a pointer that does not resolve fails every member alike: reject it
+    # before any starts, on a copy of the config
+    _set_pointer(cfg.to_dict(), args.param, values[0])
     threads = os.environ.get("HYSTERM_THREADS")
     try:
         workers = int(threads) if threads is not None else os.cpu_count() or 1

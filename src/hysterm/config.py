@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import CFLError, ConfigError
@@ -26,12 +26,6 @@ PRESET_KINDS = {
 
 _PRESET_DEFAULTS = {
     "sine": {"h0": -1},
-}
-
-_TOP_KEYS = {
-    "name", "dim", "extent", "nx", "dt", "T", "alpha", "beta", "bc",
-    "preset", "snapshot_stride", "freeze_h", "cfl_safety", "seed",
-    "output_dir",
 }
 
 _BC_KEYS = {"kind", "value"}
@@ -72,23 +66,18 @@ class ScenarioConfig:
         return self.cfl_safety * self.dx_min**2 / (2.0 * self.dim)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "extent": list(self.extent),
-            "nx": list(self.nx),
-            "dt": self.dt,
-            "T": self.T,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "bc": dict(self.bc),
-            "preset": dict(self.preset),
-            "snapshot_stride": self.snapshot_stride,
-            "freeze_h": self.freeze_h,
-            "cfl_safety": self.cfl_safety,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        """The fields in declaration order, as the config JSON holds them."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """A field value with tuples as lists and dicts copied."""
+    if isinstance(value, tuple):
+        return list(value)
+    return dict(value) if isinstance(value, dict) else value
+
+
+_TOP_KEYS = {f.name for f in fields(ScenarioConfig)}
 
 
 def whole_steps(T: float, dt: float) -> int | None:
@@ -203,6 +192,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     extra = set(data) - _TOP_KEYS
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
+    # preset has a default factory but no default preset is valid
     required = {"name", "dim", "extent", "nx", "dt", "T", "alpha", "beta",
                 "preset"}
     missing = required - set(data)

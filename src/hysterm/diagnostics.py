@@ -35,6 +35,13 @@ from .grid import (
 
 _SLACK = 1e-12
 
+#: Growth centres per analysis at most, evenly spread over the eligible ones.
+MAX_GROWTH_CENTERS = 32
+#: Profile samples before those on an event are dropped.
+PROFILE_SAMPLES = 256
+#: Dyadic distance bands of the profile below the distance cap.
+PROFILE_BANDS = 8
+
 
 # ---------------------------------------------------------------------------
 # heat kernel and cut-off
@@ -321,64 +328,44 @@ class GrowthSample:
     osc_lower: list
     osc_full: list
     sup_grad: list
-    ratios_quadratic: list = field(default_factory=list)
-    ratios_full: list = field(default_factory=list)
-    ratios_linear: list = field(default_factory=list)
+    ratios_quadratic: list = field(init=False)
+    ratios_full: list = field(init=False)
+    ratios_linear: list = field(init=False)
 
     def __post_init__(self):
         if not all(b < a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly decreasing")
-        if not self.ratios_quadratic:
-            self.ratios_quadratic = [
-                o / r**2 for o, r in zip(self.osc_lower, self.radii)
-            ]
-        if not self.ratios_full:
-            self.ratios_full = [
-                o / r**2 for o, r in zip(self.osc_full, self.radii)
-            ]
-        if not self.ratios_linear:
-            self.ratios_linear = [
-                s / r for s, r in zip(self.sup_grad, self.radii)
-            ]
+        self.ratios_quadratic = [o / r**2 for o, r in zip(self.osc_lower, self.radii)]
+        self.ratios_full = [o / r**2 for o, r in zip(self.osc_full, self.radii)]
+        self.ratios_linear = [s / r for s, r in zip(self.sup_grad, self.radii)]
 
 
 def eligible_growth_centers(
-    sol: SpaceTimeSolution,
-    atlas: FreeBoundaryAtlas,
-    rmax: float,
-    max_centers: int = 32,
+    sol: SpaceTimeSolution, atlas: FreeBoundaryAtlas, rmax: float
 ):
     """Degenerate jump points far enough from the walls and the boundary.
 
     Mirrors the growth-estimate hypotheses: parabolic distance to the
     vertical walls and to the parabolic boundary both at least the largest
-    radius of the ladder.  Returns (centers, skipped_count).
+    radius of the ladder.  At most MAX_GROWTH_CENTERS of them, evenly
+    spread.  Returns (centers, skipped_count).
     """
-    centers = []
-    skipped = 0
-    for z in atlas.points(atlas.gamma_0):
-        if boundary_distance(sol, z) < rmax:
-            skipped += 1
-            continue
-        if parabolic_distance(z, atlas.wall_segments, sol) < rmax:
-            skipped += 1
-            continue
-        centers.append(z)
-    if len(centers) > max_centers:
-        sel = spread_indices(0, len(centers) - 1, max_centers)
-        centers = [centers[i] for i in sel]
-    return centers, skipped
+    pts = (atlas.t_index[atlas.gamma_0], atlas.idx[atlas.gamma_0])
+    near = (boundary_distance(sol, pts) < rmax) | (
+        parabolic_distance(pts, atlas.wall_segments, sol) < rmax
+    )
+    rows = atlas.gamma_0[~near]
+    if rows.size > MAX_GROWTH_CENTERS:
+        rows = rows[spread_indices(0, rows.size - 1, MAX_GROWTH_CENTERS)]
+    return atlas.points(rows), int(near.sum())
 
 
 def quadratic_growth(
-    sol: SpaceTimeSolution,
-    atlas: FreeBoundaryAtlas,
-    radii: Sequence[float],
-    max_centers: int = 32,
+    sol: SpaceTimeSolution, atlas: FreeBoundaryAtlas, radii: Sequence[float]
 ) -> list:
     """Oscillation of u over lower and full cylinders per radius ladder."""
     radii = sorted((float(r) for r in radii), reverse=True)
-    centers, _ = eligible_growth_centers(sol, atlas, radii[0], max_centers)
+    centers, _ = eligible_growth_centers(sol, atlas, radii[0])
     gn = atlas.grad_norm_stack
     samples = []
     for z in centers:
@@ -418,10 +405,6 @@ class SignReport:
     worst_beta: float
     tol: float
 
-    @property
-    def total_violations(self) -> int:
-        return self.violations_alpha + self.violations_beta
-
 
 def sign_conditions(
     sol: SpaceTimeSolution, atlas: FreeBoundaryAtlas, tol: float
@@ -436,11 +419,8 @@ def sign_conditions(
     rows = atlas.gamma_star
     # no walls, no skips: the distance cap itself may lie below the guard
     if len(atlas.walls):
-        near = [
-            parabolic_distance(z, atlas.wall_segments, sol) <= guard
-            for z in atlas.points(rows)
-        ]
-        rows = rows[~np.array(near, dtype=bool)]
+        pts = (atlas.t_index[rows], atlas.idx[rows])
+        rows = rows[parabolic_distance(pts, atlas.wall_segments, sol) > guard]
     down = atlas.dt_u[rows[atlas.kind[rows] == JUMP_DOWN]]
     up = atlas.dt_u[rows[atlas.kind[rows] == JUMP_UP]]
     return SignReport(
@@ -456,79 +436,72 @@ def sign_conditions(
 
 
 @dataclass
-class ProfileSample:
-    point: SpaceTimePoint
-    dist_to_gamma_v: float
-    dist_to_boundary: float
-    abs_dt_u: float
-    hess_norm: float
-
-
-@dataclass
 class RegularityProfile:
-    samples: list
+    """The profile samples as columns, one entry per sample: the point
+    ``(t_index, idx)``, its parabolic distances to Gamma_v and to the
+    parabolic boundary, and |du/dt| and |D^2 u| there.  ``r_cap`` is the
+    distance cap, ``SpaceTimeSolution.r_max``."""
+
+    t_index: np.ndarray
+    idx: np.ndarray
+    dist_to_gamma_v: np.ndarray
+    dist_to_boundary: np.ndarray
+    abs_dt_u: np.ndarray
+    hess_norm: np.ndarray
     r_cap: float
 
-    def band_maxima(self, num_bands: int = 8) -> list:
+    def band_maxima(self) -> list:
         """(rho, max of |du/dt| + |D^2 u| over samples at distance >= rho).
 
-        Dyadic ladder of rho values below the cap; the tail maximum is
-        non-increasing in rho by construction of the tail sets.
+        Dyadic ladder of PROFILE_BANDS rho values below the cap; the tail
+        maximum is non-increasing in rho by construction of the tail sets.
         """
-        out = []
-        for j in range(num_bands):
-            rho = self.r_cap / 2**j
-            vals = [
-                s.abs_dt_u + s.hess_norm
-                for s in self.samples
-                if s.dist_to_gamma_v >= rho
-            ]
-            out.append((rho, max(vals) if vals else 0.0))
-        return out
+        bound = self.abs_dt_u + self.hess_norm
+        return [
+            (rho, float(bound[self.dist_to_gamma_v >= rho].max(initial=0.0)))
+            for rho in (self.r_cap / 2**j for j in range(PROFILE_BANDS))
+        ]
 
     def global_max(self) -> float:
-        return max(
-            (s.abs_dt_u + s.hess_norm for s in self.samples), default=0.0
-        )
+        return float((self.abs_dt_u + self.hess_norm).max(initial=0.0))
 
 
 def regularity_profile(
-    sol: SpaceTimeSolution,
-    atlas: FreeBoundaryAtlas,
-    sample_count: int = 256,
+    sol: SpaceTimeSolution, atlas: FreeBoundaryAtlas
 ) -> RegularityProfile:
-    """Deterministic stratified sample of off-boundary, off-event points."""
+    """Deterministic stratified sample of off-boundary, off-event points.
+
+    About PROFILE_SAMPLES points: the product of evenly spread snapshots
+    and evenly spread interior points, in snapshot-major order, less those
+    on a jump event or a wall point.
+    """
     on_event = np.zeros(sol.u.shape, dtype=bool)
     on_event[(atlas.t_index, *atlas.idx.T)] = True
     for first, last, *idx in atlas.wall_segments.tolist():
         on_event[(slice(first, last + 1), *idx)] = True
-    cap = sol.r_max()
 
-    n_time = max(2, int(np.sqrt(sample_count)))
-    n_space = max(2, sample_count // n_time)
+    n_time = max(2, int(np.sqrt(PROFILE_SAMPLES)))
+    n_space = max(2, PROFILE_SAMPLES // n_time)
     t_picks = spread_indices(1, sol.num_snapshots - 1, n_time)
+    interior = np.argwhere(sol.grid.interior())
+    s_picks = np.zeros(0, dtype=int)
+    if len(interior):
+        s_picks = spread_indices(0, len(interior) - 1, n_space)
 
-    interior = np.argwhere(sol.grid.interior()).tolist()
-    if not interior:
-        return RegularityProfile(samples=[], r_cap=cap)
-    s_picks = spread_indices(0, len(interior) - 1, n_space)
-
+    # sample i is at snapshot t_picks[j[i]]; the stacks below are indexed by j
+    j = np.repeat(np.arange(t_picks.size), s_picks.size)
+    idx = interior[np.tile(s_picks, t_picks.size)]
+    keep = ~on_event[(t_picks[j], *idx.T)]
+    j, idx = j[keep], idx[keep]
+    pts = (t_picks[j], idx)
     hess = np.abs(hessian(sol.u[t_picks], sol.grid)).max(axis=(0, 1))
     dtu = np.abs(time_derivative(sol, t_picks))
-    samples = []
-    for j, k in enumerate(t_picks.tolist()):
-        for si in s_picks:
-            idx = tuple(interior[si])
-            if on_event[(k, *idx)]:
-                continue
-            z = SpaceTimePoint(k, idx)
-            samples.append(
-                ProfileSample(
-                    point=z,
-                    dist_to_gamma_v=parabolic_distance(z, atlas.wall_segments, sol),
-                    dist_to_boundary=boundary_distance(sol, z),
-                    abs_dt_u=float(dtu[j][idx]),
-                    hess_norm=float(hess[j][idx]),
-                )
-            )
-    return RegularityProfile(samples=samples, r_cap=cap)
+    return RegularityProfile(
+        t_index=pts[0],
+        idx=idx,
+        dist_to_gamma_v=parabolic_distance(pts, atlas.wall_segments, sol),
+        dist_to_boundary=boundary_distance(sol, pts),
+        abs_dt_u=dtu[(j, *idx.T)],
+        hess_norm=hess[(j, *idx.T)],
+        r_cap=sol.r_max(),
+    )

@@ -118,13 +118,11 @@ class Grid:
     def diameter(self) -> float:
         return float(np.sqrt(sum(e * e for e in self.extent)))
 
-    def boundary_gap(self, idx: Sequence[int]) -> float:
-        """Distance from a grid point to the nearest spatial boundary."""
-        gaps = []
-        for ax_len, n, i, d in zip(self.extent, self.nx, idx, self.dx):
-            gaps.append(i * d)
-            gaps.append(ax_len - i * d)
-        return float(min(gaps))
+    def boundary_gap(self, idx) -> np.ndarray:
+        """Distance from each grid point, ``idx`` of shape ``(n, dim)``, to
+        the nearest spatial boundary."""
+        near = np.asarray(idx).reshape(-1, self.dim) * self.dx
+        return np.minimum(near, np.asarray(self.extent) - near).min(axis=1)
 
 
 def spread_indices(first: int, last: int, count: int) -> np.ndarray:
@@ -326,39 +324,42 @@ def time_segments(first, last, idx) -> np.ndarray:
     return np.column_stack([first[start], reach[end], pt[start]])
 
 
-def parabolic_distance(
-    z: SpaceTimePoint, S, sol: SpaceTimeSolution, r_max: float | None = None
-) -> float:
-    """sup of radii whose discrete lower cylinder at z avoids S.
+def parabolic_distance(points, S, sol: SpaceTimeSolution) -> np.ndarray:
+    """sup of radii whose discrete lower cylinder at each point avoids S.
 
-    S holds the ``(first, last, i0, ...)`` rows of ``time_segments``.
-    Computed in closed form: a point of S at spatial distance d and time
-    lag dt below z first enters the lower cylinder at radius
+    ``points`` is ``(t_index, idx)``, int arrays of shape ``(n,)`` and
+    ``(n, dim)``, and the result holds one distance per point.  S holds the
+    ``(first, last, i0, ...)`` rows of ``time_segments``.  Computed in
+    closed form: a point of S at spatial distance d and time lag dt below a
+    query point z first enters the lower cylinder at radius
     ``max(d, sqrt(dt))``; points above z never enter.  Along one segment d
     is fixed and the lag is least at its last snapshot not above z, so a
     segment that starts at or before z contributes
-    ``max(d, sqrt(t0 - times[min(last, k0)]))`` and the cost is one row
-    per segment, not per point.  Returns the cap when S is empty or never
-    intersected.
+    ``max(d, sqrt(t0 - times[min(last, k0)]))``.  One pass per segment row
+    updates a running minimum over all query points, so memory stays one
+    array of points.  A point that no segment starts at or before gets the
+    cap ``sol.r_max()``.
     """
-    cap = sol.r_max() if r_max is None else float(r_max)
-    k0 = z.t_index
-    seg = S[S[:, 0] <= k0]
-    if seg.shape[0] == 0:
-        return cap
+    k0, idx = (np.asarray(a, dtype=np.int64) for a in points)
     axes = sol.grid.axes()
-    d2 = sum((ax[i] - ax[i0]) ** 2 for ax, i, i0 in zip(axes, seg[:, 2:].T, z.idx))
-    lag = sol.times[k0] - sol.times[np.minimum(seg[:, 1], k0)]
-    crit = np.maximum(np.sqrt(d2), np.sqrt(lag))
-    return float(min(cap, crit.min()))
+    x0 = [ax[i] for ax, i in zip(axes, idx.reshape(k0.size, sol.grid.dim).T)]
+    t0 = sol.times[k0]
+    out = np.full(k0.size, sol.r_max())
+    for first, last, *seg_idx in S.tolist():
+        d2 = sum((ax[i] - x) ** 2 for ax, i, x in zip(axes, seg_idx, x0))
+        lag = t0 - sol.times[np.minimum(last, k0)]
+        crit = np.maximum(np.sqrt(d2), np.sqrt(lag))
+        np.minimum(out, crit, out=out, where=k0 >= first)
+    return out
 
 
-def boundary_distance(sol: SpaceTimeSolution, z: SpaceTimePoint) -> float:
-    """Parabolic distance from z to the parabolic boundary of the cylinder.
+def boundary_distance(sol: SpaceTimeSolution, points) -> np.ndarray:
+    """Parabolic distance from each point, ``(t_index, idx)`` as in
+    ``parabolic_distance``, to the parabolic boundary of the cylinder.
 
     The lateral boundary is reached at radius equal to the spatial gap and
     the bottom at radius sqrt(t).
     """
-    gap = sol.grid.boundary_gap(z.idx)
-    t = float(sol.times[z.t_index] - sol.times[0])
-    return min(gap, float(np.sqrt(max(t, 0.0))))
+    k0, idx = points
+    t = sol.times[np.asarray(k0)] - sol.times[0]
+    return np.minimum(sol.grid.boundary_gap(idx), np.sqrt(np.maximum(t, 0.0)))

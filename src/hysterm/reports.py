@@ -103,15 +103,6 @@ def write_pgm(path, f: np.ndarray) -> str:
     return _write(path, header + data.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise DataIntegrityError(f"not a binary PGM: {path}")
-    w, h = (int(v) for v in parts[1].split())
-    return np.frombuffer(parts[3], dtype=np.uint8, count=w * h).reshape(h, w)
-
-
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -299,12 +290,10 @@ def analyze_run(
     _write_table(out_dir / "signs.csv", list(vars(signs)), [vars(signs).values()])
 
     profile = dg.regularity_profile(sol, atlas)
-    _write_point_table(out_dir / "profile.csv", dim, [
-        "dist_to_gamma_v", "dist_to_boundary", "abs_dt_u", "hess_norm"
-    ], (
-        (s.point.t_index, s.point.idx, s.dist_to_gamma_v,
-         s.dist_to_boundary, s.abs_dt_u, s.hess_norm)
-        for s in profile.samples
+    columns = ["dist_to_gamma_v", "dist_to_boundary", "abs_dt_u", "hess_norm"]
+    _write_point_table(out_dir / "profile.csv", dim, columns, zip(
+        profile.t_index.tolist(), profile.idx.tolist(),
+        *(getattr(profile, c).tolist() for c in columns),
     ))
 
     summary = _summary(sol, cfg, atlas, samples, phi_tables, signs, profile)
@@ -318,9 +307,10 @@ def _phi_tables(sol, atlas, radii) -> list:
 
     tables = []
     r_need = max(radii)
-    for z in atlas.points(atlas.gamma_0[:4]):
+    rows = atlas.gamma_0[:4]
+    gaps = sol.grid.boundary_gap(atlas.idx[rows]).tolist()
+    for z, gap in zip(atlas.points(rows), gaps):
         t_depth = float(sol.times[z.t_index] - sol.times[0])
-        gap = sol.grid.boundary_gap(z.idx)
         if t_depth < r_need**2 or gap < r_need:
             continue
         rho0 = min(gap, max(r_need, 2.0 * r_need))
@@ -361,8 +351,8 @@ def _summary(sol, cfg, atlas, samples, phi_tables, signs, profile) -> dict:
             "C0_osc_lower": max(ratios_q) if ratios_q else None,
             "C1_osc_full": max(ratios_f) if ratios_f else None,
             "C2_grad": max(ratios_l) if ratios_l else None,
-            "C3_dt_u": max((s.abs_dt_u for s in profile.samples), default=None),
-            "C4_hess": max((s.hess_norm for s in profile.samples), default=None),
+            "C3_dt_u": float(profile.abs_dt_u.max()) if profile.abs_dt_u.size else None,
+            "C4_hess": float(profile.hess_norm.max()) if profile.hess_norm.size else None,
             "N_emp_phi": max(n_emps) if n_emps else None,
         },
         "profile_bands": [

@@ -64,6 +64,37 @@ def wall_points(atlas):
             np.array(idxs, dtype=np.int64).reshape(len(ts), dim))
 
 
+def point_arrays(pts) -> tuple:
+    """SpaceTimePoints as the ``(t_index, idx)`` arrays the distances take."""
+    return (np.array([p.t_index for p in pts], dtype=np.int64),
+            np.array([p.idx for p in pts], dtype=np.int64).reshape(len(pts), -1))
+
+
+def reference_parabolic_distance(z, S, sol) -> float:
+    """The per-point parabolic distance as it stood before the batched one:
+    one query ``z`` (a SpaceTimePoint) against ``time_segments`` rows S."""
+    cap = sol.r_max()
+    k0 = z.t_index
+    seg = S[S[:, 0] <= k0]
+    if seg.shape[0] == 0:
+        return cap
+    axes = sol.grid.axes()
+    d2 = sum((ax[i] - ax[i0]) ** 2 for ax, i, i0 in zip(axes, seg[:, 2:].T, z.idx))
+    lag = sol.times[k0] - sol.times[np.minimum(seg[:, 1], k0)]
+    crit = np.maximum(np.sqrt(d2), np.sqrt(lag))
+    return float(min(cap, crit.min()))
+
+
+def reference_boundary_distance(sol, z) -> float:
+    """The per-point boundary distance as it stood before the batched one."""
+    gaps = []
+    for ax_len, i, d in zip(sol.grid.extent, z.idx, sol.grid.dx):
+        gaps.append(i * d)
+        gaps.append(ax_len - i * d)
+    t = float(sol.times[z.t_index] - sol.times[0])
+    return min(float(min(gaps)), float(np.sqrt(max(t, 0.0))))
+
+
 def fourier_heat_oracle(x: np.ndarray, t: float, kmax: int = 199) -> np.ndarray:
     """Exact solution of du/dt = u'' + 1 on [0,1], u(0)=u(1)=0, u0=sin(pi x).
 

@@ -165,9 +165,10 @@ def test_criterion_07_sign_conditions(
     ):
         dt = float(np.diff(sol.times).min())
         rep = dg.sign_conditions(sol, atlas, tol=10.0 * dt)
-        ok = ok and rep.total_violations == 0
+        violations = rep.violations_alpha + rep.violations_beta
+        ok = ok and violations == 0
         details.append(
-            f"{name}: {rep.total_violations} violations "
+            f"{name}: {violations} violations "
             f"({rep.checked_alpha + rep.checked_beta} checked, "
             f"{rep.skipped_near_wall} near-wall skipped)"
         )

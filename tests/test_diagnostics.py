@@ -5,7 +5,11 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import wall_points
+from conftest import (
+    reference_boundary_distance,
+    reference_parabolic_distance,
+    wall_points,
+)
 from hysterm import diagnostics as dg
 from hysterm.free_boundary import (
     JUMP_DOWN,
@@ -13,7 +17,15 @@ from hysterm.free_boundary import (
     FreeBoundaryAtlas,
     grad_norm_stack,
 )
-from hysterm.grid import Grid, SpaceTimePoint, SpaceTimeSolution, gradient
+from hysterm.grid import (
+    Grid,
+    SpaceTimePoint,
+    SpaceTimeSolution,
+    gradient,
+    hessian,
+    spread_indices,
+    time_derivative,
+)
 from hysterm.relay import Thresholds
 
 TH = Thresholds(0.0, 1.0)
@@ -406,7 +418,7 @@ class TestSignConditions:
         )
         report = dg.sign_conditions(sol, make_atlas(sol, gamma_star=[bad]), tol=0.01)
         assert report.violations_alpha == 1
-        assert report.total_violations == 1
+        assert report.violations_alpha + report.violations_beta == 1
         assert report.worst_alpha == pytest.approx(1.0)
 
     def test_correct_signs_pass(self):
@@ -418,7 +430,7 @@ class TestSignConditions:
             Event(SpaceTimePoint(4, (12,)), JUMP_UP, 1.0, 1.0, +0.5),
         ]
         report = dg.sign_conditions(sol, make_atlas(sol, gamma_star=evs), tol=0.01)
-        assert report.total_violations == 0
+        assert report.violations_alpha + report.violations_beta == 0
         assert report.checked_alpha == 1 and report.checked_beta == 1
 
     def test_near_wall_events_excluded(self):
@@ -430,25 +442,67 @@ class TestSignConditions:
         report = dg.sign_conditions(
             sol, make_atlas(sol, gamma_star=[bad], walls=[wall]), tol=0.01
         )
-        assert report.total_violations == 0
+        assert report.violations_alpha + report.violations_beta == 0
         assert report.skipped_near_wall == 1
 
     def test_gaussian_run_zero_violations(self, gaussian_sol, gaussian_atlas):
         dt = float(np.diff(gaussian_sol.times).min())
         report = dg.sign_conditions(gaussian_sol, gaussian_atlas, tol=10 * dt)
-        assert report.total_violations == 0
+        assert report.violations_alpha + report.violations_beta == 0
+
+
+def reference_profile(sol, atlas) -> list:
+    """The profile as the per-sample loop built it before the columns:
+    (t_index, idx, dist_to_gamma_v, dist_to_boundary, abs_dt_u, hess_norm)
+    per sample, 256 requested, in snapshot-major order."""
+    on_event = np.zeros(sol.u.shape, dtype=bool)
+    on_event[(atlas.t_index, *atlas.idx.T)] = True
+    for first, last, *idx in atlas.wall_segments.tolist():
+        on_event[(slice(first, last + 1), *idx)] = True
+    n_time = max(2, int(np.sqrt(256)))
+    n_space = max(2, 256 // n_time)
+    t_picks = spread_indices(1, sol.num_snapshots - 1, n_time)
+    interior = np.argwhere(sol.grid.interior()).tolist()
+    if not interior:
+        return []
+    s_picks = spread_indices(0, len(interior) - 1, n_space)
+    hess = np.abs(hessian(sol.u[t_picks], sol.grid)).max(axis=(0, 1))
+    dtu = np.abs(time_derivative(sol, t_picks))
+    samples = []
+    for j, k in enumerate(t_picks.tolist()):
+        for si in s_picks:
+            idx = tuple(interior[si])
+            if on_event[(k, *idx)]:
+                continue
+            z = SpaceTimePoint(k, idx)
+            samples.append((
+                k, idx,
+                reference_parabolic_distance(z, atlas.wall_segments, sol),
+                reference_boundary_distance(sol, z),
+                float(dtu[j][idx]),
+                float(hess[j][idx]),
+            ))
+    return samples
+
+
+def profile_rows(prof) -> list:
+    """The profile columns as one tuple per sample, as reference_profile."""
+    return list(zip(
+        prof.t_index.tolist(), map(tuple, prof.idx.tolist()),
+        prof.dist_to_gamma_v.tolist(), prof.dist_to_boundary.tolist(),
+        prof.abs_dt_u.tolist(), prof.hess_norm.tolist(),
+    ))
 
 
 class TestRegularityProfile:
     def test_oscillator_profile(self, oscillator_sol, oscillator_atlas):
         prof = dg.regularity_profile(oscillator_sol, oscillator_atlas)
-        assert prof.samples
+        assert prof.t_index.size
         cap = oscillator_sol.r_max()
-        for s in prof.samples:
-            assert s.dist_to_gamma_v == cap
+        assert (prof.dist_to_gamma_v == cap).all()
         gmax = prof.global_max()
         assert 1.0 - 1e-6 <= gmax <= 1.0 + 1e-3
-        assert max(s.hess_norm for s in prof.samples) <= 1e-8
+        assert prof.hess_norm.max() <= 1e-8
 
     def test_frozen_heat_profile_bounded(self):
         from conftest import frozen_heat_config
@@ -478,10 +532,28 @@ class TestRegularityProfile:
             wall_t, wall_idx = wall_points(at)
             events = set(zip(at.t_index.tolist(), map(tuple, at.idx.tolist())))
             events |= set(zip(wall_t.tolist(), map(tuple, wall_idx.tolist())))
-            assert prof.samples
+            assert prof.t_index.size
             assert all(
-                (s.point.t_index, s.point.idx) not in events for s in prof.samples
+                (t, tuple(i)) not in events
+                for t, i in zip(prof.t_index.tolist(), prof.idx.tolist())
             )
+
+    @pytest.mark.parametrize("scenario", ["oscillator", "gaussian", "plateau", "wall"])
+    def test_columns_equal_per_sample_reference(self, request, scenario):
+        """The columns hold, sample by sample, the floats of the per-sample
+        loop on each bundled scenario."""
+        sol = request.getfixturevalue(f"{scenario}_sol")
+        atlas = request.getfixturevalue(f"{scenario}_atlas")
+        prof = dg.regularity_profile(sol, atlas)
+        want = reference_profile(sol, atlas)
+        assert want
+        assert profile_rows(prof) == want
+        values = [row[4] + row[5] for row in want]
+        assert prof.global_max() == max(values)
+        assert prof.band_maxima() == [
+            (rho, max((v for v, row in zip(values, want) if row[2] >= rho), default=0.0))
+            for rho in (sol.r_max() / 2**j for j in range(8))
+        ]
 
 
 class TestProbeDirections:

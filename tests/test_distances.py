@@ -2,7 +2,10 @@
 
 ``separation_check`` and the segment form of ``parabolic_distance`` must
 give the same floats, bit for bit, as the direct minimum over every pair
-of points; the references below are those direct definitions.
+of points; the references below are those direct definitions.  The batched
+``parabolic_distance`` and ``boundary_distance`` must also give, point by
+point, the floats of the per-point forms they replaced
+(``conftest.reference_*``).
 """
 
 import tracemalloc
@@ -12,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import wall_points
+from conftest import (
+    point_arrays,
+    reference_boundary_distance,
+    reference_parabolic_distance,
+    wall_points,
+)
 from hysterm.config import config_from_dict
 from hysterm.free_boundary import classify, separation_check
 from hysterm.grid import (
@@ -21,6 +29,7 @@ from hysterm.grid import (
     Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
+    boundary_distance,
     parabolic_distance,
     time_segments,
 )
@@ -176,15 +185,48 @@ def point_sets(draw):
     return sol, first, last, idx, z
 
 
+@st.composite
+def query_sets(draw):
+    """``point_sets`` with a batch of queries instead of one: random points,
+    a point before every run (when one exists) and a repeat of the first."""
+    sol, first, last, idx, z = draw(point_sets())
+    K, shape = sol.num_snapshots, sol.grid.shape
+    queries = [z] + [
+        SpaceTimePoint(draw(st.integers(0, K - 1)),
+                       tuple(draw(st.integers(0, m - 1)) for m in shape))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    if first.size and first.min() > 0:
+        queries.append(SpaceTimePoint(int(first.min()) - 1, z.idx))
+    queries.append(queries[0])
+    return sol, first, last, idx, queries
+
+
 class TestSegmentDistance:
     @given(case=point_sets())
     @settings(max_examples=200, deadline=None)
     def test_equals_per_point_scan(self, case):
         sol, first, last, idx, z = case
         seg = time_segments(first, last, idx)
-        assert parabolic_distance(z, seg, sol) == brute_parabolic_distance(
+        assert parabolic_distance(point_arrays([z]), seg, sol)[0] == brute_parabolic_distance(
             z, *expand(first, last, idx), sol
         )
+
+    @given(case=query_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_per_point_reference(self, case):
+        """One batched call gives each query the per-point floats, in 1D and
+        2D, on Neumann and Dirichlet grids, against the runs and against an
+        empty set."""
+        sol, first, last, idx, queries = case
+        seg = time_segments(first, last, idx)
+        pts = point_arrays(queries)
+        for S in (seg, seg[:0]):
+            got = parabolic_distance(pts, S, sol)
+            assert got.shape == (len(queries),)
+            assert got.tolist() == [reference_parabolic_distance(z, S, sol) for z in queries]
+        got = boundary_distance(sol, pts)
+        assert got.tolist() == [reference_boundary_distance(sol, z) for z in queries]
 
     @given(case=point_sets())
     @settings(max_examples=100, deadline=None)
@@ -212,10 +254,10 @@ class TestSegmentDistance:
             SpaceTimePoint(k, tuple(i))
             for k, i in zip(t[::997].tolist(), idx[::997].tolist())
         ]
-        for z in queries:
-            assert parabolic_distance(z, at.wall_segments, plateau_sol) == (
-                brute_parabolic_distance(z, t, idx, plateau_sol)
-            )
+        got = parabolic_distance(point_arrays(queries), at.wall_segments, plateau_sol)
+        assert got.tolist() == [
+            brute_parabolic_distance(z, t, idx, plateau_sol) for z in queries
+        ]
 
 
 def test_classify_builds_wall_segments_2d(levelsets_sol):

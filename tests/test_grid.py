@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import point_arrays
 from hysterm.free_boundary import grad_norm_stack
 from hysterm.grid import (
     INTERIOR_MARGIN,
@@ -66,8 +67,8 @@ class TestGridBasics:
 
     def test_boundary_gap(self):
         g = Grid(extent=(1.0,), nx=(11,))
-        assert g.boundary_gap((5,)) == pytest.approx(0.5)
-        assert g.boundary_gap((1,)) == pytest.approx(0.1)
+        assert g.boundary_gap([(5,)])[0] == pytest.approx(0.5)
+        assert g.boundary_gap([(1,)])[0] == pytest.approx(0.1)
 
 
 class TestLaplacian:
@@ -269,26 +270,27 @@ class TestCylinders:
 class TestParabolicDistance:
     def test_empty_set_gives_cap(self, cyl_sol):
         z = SpaceTimePoint(20, (5,))
-        assert parabolic_distance(z, segments(cyl_sol, []), cyl_sol) == cyl_sol.r_max()
+        d = parabolic_distance(point_arrays([z]), segments(cyl_sol, []), cyl_sol)[0]
+        assert d == cyl_sol.r_max()
 
     def test_pure_time_lag(self, cyl_sol):
         """Same x, lag s below: dist = sqrt(s) (time reach of Q_r^- is r^2)."""
         z = SpaceTimePoint(30, (5,))
         s_pt = SpaceTimePoint(10, (5,))
         lag = cyl_sol.times[30] - cyl_sol.times[10]
-        d = parabolic_distance(z, segments(cyl_sol, [s_pt]), cyl_sol)
+        d = parabolic_distance(point_arrays([z]), segments(cyl_sol, [s_pt]), cyl_sol)[0]
         assert d == pytest.approx(np.sqrt(lag), abs=1e-12)
 
     def test_pure_spatial_offset(self, cyl_sol):
         z = SpaceTimePoint(30, (5,))
         s_pt = SpaceTimePoint(30, (8,))
-        d = parabolic_distance(z, segments(cyl_sol, [s_pt]), cyl_sol)
+        d = parabolic_distance(point_arrays([z]), segments(cyl_sol, [s_pt]), cyl_sol)[0]
         assert d == pytest.approx(0.3, abs=1e-12)
 
     def test_points_above_never_enter(self, cyl_sol):
         z = SpaceTimePoint(10, (5,))
         S = segments(cyl_sol, [SpaceTimePoint(30, (5,))])
-        d = parabolic_distance(z, S, cyl_sol)
+        d = parabolic_distance(point_arrays([z]), S, cyl_sol)[0]
         assert d == cyl_sol.r_max()
 
     def test_union_is_min(self, cyl_sol):
@@ -299,11 +301,11 @@ class TestParabolicDistance:
             for _ in range(12)
         ]
         s1, s2 = pts[:5], pts[5:]
-        d_union = parabolic_distance(z, segments(cyl_sol, s1 + s2), cyl_sol)
+        d_union = parabolic_distance(point_arrays([z]), segments(cyl_sol, s1 + s2), cyl_sol)[0]
         assert d_union == pytest.approx(
             min(
-                parabolic_distance(z, segments(cyl_sol, s1), cyl_sol),
-                parabolic_distance(z, segments(cyl_sol, s2), cyl_sol),
+                parabolic_distance(point_arrays([z]), segments(cyl_sol, s1), cyl_sol)[0],
+                parabolic_distance(point_arrays([z]), segments(cyl_sol, s2), cyl_sol)[0],
             ),
             abs=1e-12,
         )
@@ -312,7 +314,7 @@ class TestParabolicDistance:
         """dist r*: lower cylinders of radius < r* avoid S, radius > r* hit it."""
         z = SpaceTimePoint(35, (5,))
         S = [SpaceTimePoint(20, (7,)), SpaceTimePoint(33, (3,))]
-        r_star = parabolic_distance(z, segments(cyl_sol, S), cyl_sol)
+        r_star = parabolic_distance(point_arrays([z]), segments(cyl_sol, S), cyl_sol)[0]
         sset = set(S)
         below = cylinder_set(cyl_sol, z, max(r_star - 0.01, 1e-3))
         above = cylinder_set(cyl_sol, z, r_star + 0.06)
@@ -320,9 +322,7 @@ class TestParabolicDistance:
         assert above & sset
 
     def test_boundary_distance(self, cyl_sol):
-        assert boundary_distance(cyl_sol, SpaceTimePoint(16, (5,))) == pytest.approx(
-            np.sqrt(0.04), abs=1e-12
-        )
-        assert boundary_distance(cyl_sol, SpaceTimePoint(40, (1,))) == pytest.approx(
-            0.1, abs=1e-12
-        )
+        pts = point_arrays([SpaceTimePoint(16, (5,)), SpaceTimePoint(40, (1,))])
+        d = boundary_distance(cyl_sol, pts)
+        assert d[0] == pytest.approx(np.sqrt(0.04), abs=1e-12)
+        assert d[1] == pytest.approx(0.1, abs=1e-12)

@@ -19,7 +19,6 @@ from hysterm.errors import CFLError, ConfigError, DataIntegrityError
 from hysterm.reports import (
     analyze_run,
     load_run,
-    read_pgm,
     read_snapshot_csv,
     save_config,
     save_run,
@@ -166,13 +165,12 @@ class TestPgm:
     def test_linear_scaling(self, tmp_path):
         p = tmp_path / "x.pgm"
         write_pgm(p, np.array([[0.0, 0.5, 1.0]]))
-        img = read_pgm(p)
-        assert img.tolist() == [[0, 128, 255]]
+        assert p.read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 128, 255])
 
     def test_constant_field(self, tmp_path):
         p = tmp_path / "c.pgm"
         write_pgm(p, np.full((2, 2), 3.3))
-        assert read_pgm(p).tolist() == [[0, 0], [0, 0]]
+        assert p.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 0, 0, 0])
 
     def test_header_bytes(self, tmp_path):
         p = tmp_path / "h.pgm"
@@ -473,6 +471,42 @@ class TestCli:
         )
         assert summary["tolerances"]["grad_tol"] == 0.3
         assert summary["tolerances"]["level_tol"] == 0.01
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--level-tol", "nan"), ("--level-tol", "inf"), ("--level-tol", "-1"),
+        ("--grad-tol", "nan"), ("--grad-tol", "0"),
+        ("--radii", "nan"), ("--radii", "inf"), ("--radii", "0.2,-0.1"),
+    ])
+    def test_analyze_rejects_bad_numbers(self, run_dir, capsys, flag, value):
+        """A tolerance or radius that is not finite and positive exits 2
+        before any report file is written."""
+        rd = run_dir[0]
+        before = sorted(p.name for p in rd.iterdir())
+        assert main(["analyze", str(rd), f"{flag}={value}"]) == 2
+        assert flag in capsys.readouterr().err
+        assert sorted(p.name for p in rd.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "pointer", ["preset/u0", "/presets/u0", "/nx/5", "/preset/u0/x"]
+    )
+    def test_sweep_bad_pointer_exit_2(self, tmp_path, monkeypatch, capsys, pointer):
+        """A pointer that does not resolve exits 2 before any member starts."""
+        monkeypatch.setenv("HYSTERM_THREADS", "1")
+        monkeypatch.chdir(tmp_path)
+        p, _ = self.write_cfg(tmp_path, name="swp", output_dir=None)
+        code = main(["sweep", str(p), "--param", pointer, "--values", "0.4,0.5"])
+        assert code == 2
+        assert pointer in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_sweep_pointer_may_add_a_key(self, tmp_path, monkeypatch):
+        """A new key inside an existing object resolves."""
+        monkeypatch.setenv("HYSTERM_THREADS", "1")
+        monkeypatch.chdir(tmp_path)
+        p, _ = self.write_cfg(tmp_path, name="swk", output_dir=None)
+        assert main(["sweep", str(p), "--param", "/bc/value", "--values", "0.0"]) == 0
+        rows = (tmp_path / "runs" / "swk_sweep" / "sweep_summary.csv").read_text()
+        assert ",ok," in rows.splitlines()[1]
 
     def test_sweep(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HYSTERM_THREADS", "2")
