@@ -360,6 +360,13 @@ def eligible_growth_centers(
     return atlas.points(rows), int(near.sum())
 
 
+def _cylinder(stack, t, mask, reduce) -> float:
+    """``reduce`` over a cylinder of ``stack``.  The snapshot indices ``t``
+    are consecutive, so the slab is a view and only the points inside the
+    ball are copied."""
+    return float(reduce(stack[t[0]:t[-1] + 1][:, mask]))
+
+
 def quadratic_growth(
     sol: SpaceTimeSolution, atlas: FreeBoundaryAtlas, radii: Sequence[float]
 ) -> list:
@@ -371,13 +378,10 @@ def quadratic_growth(
     for z in centers:
         osc_lower, osc_full, sup_grad = [], [], []
         for r in radii:
-            tl, ml = cylinder_slices(sol, z, r, lower_only=True)
-            block = sol.u[tl][:, ml]
-            osc_lower.append(float(block.max() - block.min()))
-            tf, mf = cylinder_slices(sol, z, r, lower_only=False)
-            blockf = sol.u[tf][:, mf]
-            osc_full.append(float(blockf.max() - blockf.min()))
-            sup_grad.append(float(gn[tf][:, mf].max()))
+            osc_lower.append(_cylinder(sol.u, *cylinder_slices(sol, z, r), np.ptp))
+            full = cylinder_slices(sol, z, r, lower_only=False)
+            osc_full.append(_cylinder(sol.u, *full, np.ptp))
+            sup_grad.append(_cylinder(gn, *full, np.max))
         samples.append(
             GrowthSample(
                 center=z,

@@ -22,7 +22,8 @@ costs one row per run, not per wall point.  ``separation_check`` builds an
 exact squared distance map per beta slice, on first use, and visits slice
 pairs in order of increasing time lag until the lag alone rules out a
 closer pair; its memory is a few grid-sized maps instead of a block of
-point pairs.  Both give the all-pairs minimum bit for bit.
+point pairs.  Both give the all-pairs minimum bit for bit.  The level and
+wall masks are filled in place, never through stack-sized float temporaries.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ from .grid import (
 JUMP_DOWN, JUMP_UP = 0, 1
 
 DEFAULT_WALL_MIN_STEPS = 3
+
+# snapshots per block when separation_check marks the points near a level
+_LEVEL_BLOCK = 64
 
 
 @dataclass
@@ -193,7 +197,7 @@ def _vertical_walls(sol, level_tol, wall_min_steps) -> np.ndarray:
     come from one pass over time: with the face's activity padded by an
     inactive snapshot at either end and time as the last axis, the changes
     along time alternate between the start of a run and the snapshot after
-    its end.
+    its end.  The conditions are and-ed in place into that padded buffer.
     """
     th = sol.thresholds
     lo, hi = th.alpha + level_tol, th.beta - level_tol
@@ -206,11 +210,14 @@ def _vertical_walls(sol, level_tol, wall_min_steps) -> np.ndarray:
         sl_a[axis + 1] = slice(None, -1)
         sl_b[axis + 1] = slice(1, None)
         sl_a, sl_b = tuple(sl_a), tuple(sl_b)
-        ha, hb = sol.h[sl_a], sol.h[sl_b]
         ua, ub = sol.u[sl_a], sol.u[sl_b]
-        active = (ha != hb) & (ua > lo) & (ua < hi) & (ub > lo) & (ub < hi)
-        padded = np.zeros(active.shape[1:] + (K + 2,), dtype=bool)
-        padded[..., 1:-1] = np.moveaxis(active, 0, -1)
+        padded = np.zeros(ua.shape[1:] + (K + 2,), dtype=bool)
+        active = np.moveaxis(padded[..., 1:-1], -1, 0)
+        np.not_equal(sol.h[sl_a], sol.h[sl_b], out=active)
+        active &= ua > lo
+        active &= ua < hi
+        active &= ub > lo
+        active &= ub < hi
         *face, k = np.nonzero(np.diff(padded, axis=-1))
         first, last = k[0::2], k[1::2] - 1
         keep = last - first + 1 >= wall_min_steps
@@ -239,9 +246,7 @@ def separation_check(
     level_tol = default_level_tol(sol) if level_tol is None else float(level_tol)
     th = sol.thresholds
     cap = sol.r_max()
-    interior = sol.grid.interior()
-    near_a = (np.abs(sol.u - th.alpha) <= level_tol) & interior[None]
-    near_b = (np.abs(sol.u - th.beta) <= level_tol) & interior[None]
+    near_a, near_b = _near_levels(sol, (th.alpha, th.beta), level_tol)
     space = tuple(range(1, sol.u.ndim))
     a_slices = np.nonzero(near_a.any(axis=space))[0].tolist()
     b_slices = np.nonzero(near_b.any(axis=space))[0].tolist()
@@ -274,6 +279,24 @@ def separation_check(
         for j in [j for j in dist2 if times[j] < t and math.sqrt(t - times[j]) >= best]:
             del dist2[j]
     return best
+
+
+def _near_levels(sol: SpaceTimeSolution, levels, level_tol: float) -> list:
+    """Per level, the mask of interior points with ``|u - level| <=
+    level_tol``, built a block of snapshots at a time in one small buffer."""
+    interior = sol.grid.interior()
+    masks = [np.empty(sol.u.shape, dtype=bool) for _ in levels]
+    buf = np.empty((min(_LEVEL_BLOCK, sol.num_snapshots),) + sol.grid.shape)
+    for k in range(0, sol.num_snapshots, _LEVEL_BLOCK):
+        block = sol.u[k:k + _LEVEL_BLOCK]
+        diff = buf[:len(block)]
+        for level, mask in zip(levels, masks):
+            np.subtract(block, level, out=diff)
+            np.abs(diff, out=diff)
+            near = mask[k:k + _LEVEL_BLOCK]
+            np.less_equal(diff, level_tol, out=near)
+            near &= interior
+    return masks
 
 
 def _squared_distance_map(mask: np.ndarray, g: Grid) -> np.ndarray:

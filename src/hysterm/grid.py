@@ -6,7 +6,8 @@ first-order one-sided stencils at the spatial boundary; diagnostics that
 care about stencil order only sample ``Grid.interior()``, the points at
 least ``INTERIOR_MARGIN`` cells away from the boundary.  The derivative
 operators act on the trailing ``dim`` axes, so a ``(K,) + shape`` snapshot
-stack goes through in one call.
+stack goes through in one call; ``gradient`` and ``hessian`` write
+straight into their output with no stack-sized temporaries.
 
 Parabolic cylinders and the parabolic distance follow parabolic scaling:
 the lower cylinder of radius ``r`` at ``z0 = (x0, t0)`` collects grid
@@ -187,16 +188,33 @@ def laplacian(f: np.ndarray, g: Grid) -> np.ndarray:
     return out
 
 
+def _first_diff(f: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndarray:
+    """``np.gradient(f, dx, axis=axis)``, the same rounded operations in the
+    same order, written into ``out`` (not ``f``) with no temporaries."""
+    n = f.shape[axis]
+    ax = (slice(None),) * axis
+    mid = out[ax + (slice(1, -1),)]
+    np.subtract(f[ax + (slice(2, None),)], f[ax + (slice(None, -2),)], out=mid)
+    np.divide(mid, 2.0 * dx, out=mid)
+    for e, hi, lo in ((0, 1, 0), (n - 1, n - 1, n - 2)):
+        edge = out[ax + (slice(e, e + 1),)]
+        np.subtract(f[ax + (slice(hi, hi + 1),)], f[ax + (slice(lo, lo + 1),)],
+                    out=edge)
+        np.divide(edge, dx, out=edge)
+    return out
+
+
 def gradient(f: np.ndarray, g: Grid) -> np.ndarray:
     """Spatial gradient; central interior, one-sided at the boundary.
 
-    Returns an array of shape ``(dim,) + f.shape``.
+    Returns an array of shape ``(dim,) + f.shape``, equal bit for bit to the
+    per-axis ``np.gradient`` stack and computed without temporaries.
     """
     f = _check_field(f, g)
     lead = f.ndim - g.dim
     out = np.empty((g.dim,) + f.shape)
     for axis, d in enumerate(g.dx):
-        out[axis] = np.gradient(f, d, axis=lead + axis)
+        _first_diff(f, lead + axis, d, out[axis])
     return out
 
 
@@ -205,7 +223,8 @@ def hessian(f: np.ndarray, g: Grid) -> np.ndarray:
 
     Diagonal entries use the same second-difference stencil as
     ``laplacian`` so that the trace matches it exactly; off-diagonal
-    entries use the central cross stencil.
+    entries use the central cross stencil, the gradient's first difference
+    along x, then along y.
     """
     f = _check_field(f, g)
     lead = f.ndim - g.dim
@@ -213,8 +232,8 @@ def hessian(f: np.ndarray, g: Grid) -> np.ndarray:
     for i, d in enumerate(g.dx):
         _second_diff(f, lead + i, d, g, out[i, i])
     if g.dim == 2:
-        gx = np.gradient(f, g.dx[0], axis=lead)
-        out[0, 1] = out[1, 0] = np.gradient(gx, g.dx[1], axis=lead + 1)
+        gx = _first_diff(f, lead, g.dx[0], out[1, 0])
+        out[1, 0] = _first_diff(gx, lead + 1, g.dx[1], out[0, 1])
     return out
 
 
@@ -277,9 +296,9 @@ def cylinder_slices(
 ):
     """Discrete parabolic cylinder as (time index array, spatial mask).
 
-    The spatial mask is shared by all time slices; the top slice t = t0 is
-    included, and so is the bottom slice when it lands exactly on
-    ``t0 - r**2``.
+    The time indices are consecutive.  The spatial mask is shared by all
+    time slices; the top slice t = t0 is included, and so is the bottom
+    slice when it lands exactly on ``t0 - r**2``.
     """
     if r <= 0:
         raise ValueError(f"cylinder radius must be positive, got {r}")

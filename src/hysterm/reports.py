@@ -57,14 +57,14 @@ def save_config(cfg: ScenarioConfig, path) -> str:
 # snapshot CSV
 
 
-def _format_row(vals) -> str:
-    return ",".join(repr(float(v)) for v in vals)
-
-
 def write_snapshot_csv(path, f: np.ndarray, t: float) -> str:
     """``# t=<time>`` comment line, then one row per grid row; returns the sha256."""
-    rows = "".join(_format_row(row) + "\n" for row in np.atleast_2d(f))
-    return _write(path, f"# t={float(t)!r}\n{rows}".encode())
+    # a row at a time, as Python floats and then as bytes: the file's text
+    # exists once, as the lines, before they are joined
+    rows = (row.astype(float, copy=False).tolist() for row in np.atleast_2d(f))
+    lines = [f"# t={float(t)!r}\n".encode()]
+    lines += ((",".join(map(repr, row)) + "\n").encode() for row in rows)
+    return _write(path, b"".join(lines))
 
 
 def _parse_snapshot(data: bytes, name) -> tuple:
@@ -74,7 +74,11 @@ def _parse_snapshot(data: bytes, name) -> tuple:
         if not lines or not lines[0].startswith("# t="):
             raise DataIntegrityError(f"missing '# t=' header in {name}")
         t = float(lines[0][4:])
-        arr = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        tokens = [line.split(",") for line in lines[1:]]
+        if not tokens or len({len(row) for row in tokens}) > 1:
+            raise DataIntegrityError(f"malformed snapshot {name}: no rows or "
+                                     f"rows of unequal length")
+        arr = np.array(tokens, dtype=float)
     except ValueError as exc:
         raise DataIntegrityError(f"malformed snapshot {name}: {exc}") from exc
     return t, arr[0] if len(arr) == 1 else arr

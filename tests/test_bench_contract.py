@@ -9,6 +9,9 @@ that lacks a metric ``BENCHMARK.json`` lists.
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,3 +57,76 @@ def test_checker_requires_every_listed_metric():
         assert checker.problems(line, names) == [
             f"listed metric {names[-1]} is missing"
         ]
+
+
+# Patch points a run and an analysis do not reach: the solver steps through
+# private kernels, load_run reads through _read_listed, and only a sweep
+# calls _sweep_child.
+UNREACHED = {
+    ("hysterm.solver", "step"),
+    ("hysterm.solver", "field_update"),
+    ("hysterm.reports", "verify_manifest"),
+    ("hysterm.reports", "read_snapshot_csv"),
+    ("hysterm.cli", "_sweep_child"),
+    *ABSENT,
+}
+
+# Installs the tracer, marks every patch point on top of it, then runs and
+# analyzes the config given as argv[2] with the CLI; prints the points
+# reached, the layers the tracer recorded and what it could not patch.
+TRACED_RUN = """
+import functools, importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer as tracing
+from hysterm.cli import main
+
+t = tracing.Tracer(0)
+t.install()
+reached = set()
+for _, module, attr, _, _ in tracing.PATCHES:
+    mod = importlib.import_module(module)
+    fn = getattr(mod, attr, None)
+    if callable(fn):
+        def mark(fn, key):
+            @functools.wraps(fn)
+            def marked(*args, **kwargs):
+                reached.add(key)
+                return fn(*args, **kwargs)
+            return marked
+        setattr(mod, attr, mark(fn, (module, attr)))
+codes = [t.run_root("cli." + argv[0], main, argv)
+         for argv in (["run", sys.argv[2]], ["analyze", "run"])]
+dump = t.dump()
+print(json.dumps({
+    "codes": codes,
+    "reached": sorted(reached),
+    "layers": sorted({s["name"] for s in dump["spans"]} | set(dump["counters"])),
+    "missing": dump["missing"],
+}))
+"""
+
+
+def test_run_and_analyze_reach_every_patch_point(tmp_path):
+    """A refactor that routes around a wrapped function fails here, instead
+    of reading 0 in the traced benchmark.  The 2D config yields Gamma_0
+    centres deep enough for phi tables, so every diagnostic runs."""
+    cfg = {
+        "name": "contract", "dim": 2, "extent": [2.0, 2.0], "nx": [21, 21],
+        "dt": 0.002, "T": 0.3, "alpha": 0.0, "beta": 1.0,
+        "bc": {"kind": "neumann"}, "snapshot_stride": 15, "output_dir": "run",
+        "preset": {"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "bench"), "cfg.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert got["missing"] == [f"{m}.{a}" for m, a in sorted(ABSENT)]
+    tracer = load(ROOT / "bench" / "tracer.py", "bench_tracer")
+    points = {(module, attr): name for name, module, attr, _, _ in tracer.PATCHES}
+    reached = {tuple(p) for p in got["reached"]}
+    assert set(points) - reached == UNREACHED
+    assert {points[p] for p in reached} <= set(got["layers"])

@@ -22,10 +22,11 @@ from conftest import (
     wall_points,
 )
 from hysterm.config import config_from_dict
-from hysterm.free_boundary import classify, separation_check
+from hysterm.free_boundary import _LEVEL_BLOCK, classify, separation_check
 from hysterm.grid import (
     BC_DIRICHLET,
     BC_NEUMANN,
+    INTERIOR_MARGIN,
     Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
@@ -109,6 +110,30 @@ class TestSeparationKernel:
         weight may be 0); at 0.5 and 0.6 a point near 0.5 lies in both sets
         at once."""
         assert separation_check(sol, level_tol) == brute_separation(sol, level_tol)
+
+
+    @pytest.mark.parametrize("K", [_LEVEL_BLOCK + 1, 2 * _LEVEL_BLOCK + 13])
+    @pytest.mark.parametrize("nx", [(8,), (6, 7)], ids=["1d", "2d"])
+    def test_runs_longer_than_a_block(self, K, nx):
+        """The level masks are built a block of snapshots at a time.  On runs
+        of more than one block, of a length that is not a multiple of it,
+        every alpha point lies in the last, partial block, so a block left
+        out or misplaced changes the result."""
+        rng = np.random.default_rng(K * len(nx))
+        g = Grid(extent=(1.0,) * len(nx), nx=nx)
+        times = np.cumsum(rng.uniform(1e-4, 0.01, K))
+        u = np.full((K,) + nx, 0.5)
+        tail = K - K % _LEVEL_BLOCK
+        for level, first in ((0.0, tail), (1.0, 0)):
+            for _ in range(6):
+                m = INTERIOR_MARGIN
+                idx = (rng.integers(m, n - m) for n in nx)
+                u[(rng.integers(first, K), *idx)] = level
+        sol = SpaceTimeSolution(g, TH, times, u,
+                                np.where(u > 0.5, 1, -1).astype(np.int8))
+        for level_tol in (0.05, 0.6):
+            sep = separation_check(sol, level_tol)
+            assert sep == brute_separation(sol, level_tol) < sol.r_max()
 
 
 LEVELSETS_2D = {

@@ -1,11 +1,14 @@
 """Free-boundary extraction: jump events, walls, separation, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import wall_points
+from hysterm import diagnostics as dg
 from hysterm.config import config_from_dict
 from hysterm.free_boundary import (
     classify,
@@ -15,7 +18,7 @@ from hysterm.free_boundary import (
 )
 from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, SpaceTimeSolution
 from hysterm.relay import Thresholds
-from hysterm.reports import write_atlas_csv
+from hysterm.reports import default_radii, write_atlas_csv
 from hysterm.solver import run
 
 
@@ -396,3 +399,35 @@ class TestWallRuns:
         assert (lengths >= wall_min_steps).all()
         order = np.lexsort((at.walls[:, 1], *at.walls[:, 3:].T[::-1], at.walls[:, 0]))
         assert (order == np.arange(len(at.walls))).all()
+
+
+def peak_stacks(sol, fn, *args) -> float:
+    """Peak memory ``fn(*args)`` allocates, in units of the u stack's size."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / sol.u.nbytes
+
+
+class TestAnalysisMemory:
+    """Analysis of the bundled plateau (3,001 x 201) works within a stack or
+    so of headroom: the gradient is written straight into its output, the
+    level masks are built a block of snapshots at a time, and each cylinder
+    is read from a view of its slab.  Before that the three steps peaked at
+    3.02, 2.13 and 0.77 u-stacks."""
+
+    def test_classify(self, plateau_sol):
+        # the |Du| stack the atlas keeps is one of the 1.5
+        assert peak_stacks(plateau_sol, classify, plateau_sol) < 1.5
+
+    def test_separation_check(self, plateau_sol, plateau_atlas):
+        assert peak_stacks(plateau_sol, separation_check, plateau_sol,
+                           plateau_atlas.level_tol) < 0.5
+
+    def test_quadratic_growth(self, plateau_sol, plateau_atlas):
+        radii = default_radii(plateau_sol)
+        assert peak_stacks(plateau_sol, dg.quadratic_growth, plateau_sol,
+                           plateau_atlas, radii) < 0.35

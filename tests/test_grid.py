@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import point_arrays
 from hysterm.free_boundary import grad_norm_stack
 from hysterm.grid import (
+    BC_DIRICHLET,
+    BC_NEUMANN,
     INTERIOR_MARGIN,
     Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
+    _first_diff,
     boundary_distance,
     cylinder_slices,
     gradient,
@@ -140,6 +145,47 @@ class TestGradientHessian:
         H = hessian(f, g)
         assert np.allclose((H[0, 0] + H[1, 1])[1:-1, 1:-1],
                            laplacian(f, g)[1:-1, 1:-1], atol=1e-9)
+
+
+@st.composite
+def fields(draw):
+    """A 1D or 2D grid, either boundary kind, unequal spacings, and a single
+    field or a stack of up to three snapshots on it."""
+    dim = draw(st.sampled_from([1, 2]))
+    nx = tuple(draw(st.integers(3, 9)) for _ in range(dim))
+    extent = tuple(draw(st.floats(0.1, 5.0)) for _ in range(dim))
+    g = Grid(extent=extent, nx=nx, bc_kind=draw(st.sampled_from([BC_NEUMANN,
+                                                                  BC_DIRICHLET])))
+    lead = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return g, rng.normal(scale=draw(st.floats(1e-3, 1e3)), size=lead + nx)
+
+
+class TestGradientExact:
+    """The in-place stencils against ``np.gradient``, compared with ``==``."""
+
+    @given(fields())
+    @settings(max_examples=150, deadline=None)
+    def test_gradient_equals_np_gradient(self, gf):
+        g, f = gf
+        lead = f.ndim - g.dim
+        want = np.stack([np.gradient(f, d, axis=lead + a) for a, d in enumerate(g.dx)])
+        assert (gradient(f, g) == want).all()
+        if g.dim == 2:
+            cross = np.gradient(np.gradient(f, g.dx[0], axis=lead), g.dx[1],
+                                axis=lead + 1)
+            H = hessian(f, g)
+            assert (H[0, 1] == cross).all() and (H[1, 0] == cross).all()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_short_axes(self, n, axis):
+        """A grid has at least 3 points per axis; the stencil itself also
+        matches on 2, where only the one-sided edges remain."""
+        shape = (n, 4) if axis == 0 else (4, n)
+        f = np.random.default_rng(n).normal(size=shape)
+        out = _first_diff(f, axis, 0.3, np.empty_like(f))
+        assert (out == np.gradient(f, 0.3, axis=axis)).all()
 
 
 STACK_GRIDS = [

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -11,12 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hysterm.cli
 from hysterm.cli import main, measure_oscillator_period
 from hysterm.config import config_from_dict, load_config
 from hysterm.errors import CFLError, ConfigError, DataIntegrityError
 from hysterm.reports import (
+    _parse_snapshot,
     analyze_run,
     load_run,
     read_snapshot_csv,
@@ -136,7 +140,79 @@ class TestConfig:
             )
 
 
+def old_render_snapshot(f, t) -> bytes:
+    """The per-value snapshot writer as it stood before the row-wise one."""
+    rows = "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in np.atleast_2d(f)
+    )
+    return f"# t={float(t)!r}\n{rows}".encode()
+
+
+def old_parse_snapshot(data: bytes, name) -> tuple:
+    """The per-value snapshot parser as it stood before the single cast."""
+    try:
+        lines = data.decode().strip().splitlines()
+        if not lines or not lines[0].startswith("# t="):
+            raise DataIntegrityError(f"missing '# t=' header in {name}")
+        t = float(lines[0][4:])
+        arr = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    except ValueError as exc:
+        raise DataIntegrityError(f"malformed snapshot {name}: {exc}") from exc
+    return t, arr[0] if len(arr) == 1 else arr
+
+
+@st.composite
+def snapshot_fields(draw):
+    """A 1D field, a 2D field or a relay field, values of any magnitude."""
+    shape = draw(st.sampled_from([(1,), (7,), (1, 4), (3, 5), (6, 2)]))
+    if draw(st.booleans()):
+        values, dtype = st.sampled_from([-1, 1]), np.int8
+    else:
+        values, dtype = st.floats(allow_nan=False) | st.floats(-1.0, 1.0), float
+    n = math.prod(shape)
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                    dtype=dtype).reshape(shape)
+
+
 class TestSnapshotCsv:
+    @given(f=snapshot_fields(), t=st.floats(0.0, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_render_and_parse_match_per_value_forms(self, tmp_path_factory, f, t):
+        path = tmp_path_factory.getbasetemp() / "prop.csv"
+        data = old_render_snapshot(f, t)
+        assert write_snapshot_csv(path, f, t) == hashlib.sha256(data).hexdigest()
+        assert path.read_bytes() == data
+        t_new, a_new = _parse_snapshot(data, "s")
+        t_old, a_old = old_parse_snapshot(data, "s")
+        assert t_new == t_old == t
+        rows = np.atleast_2d(f)
+        want = rows[0] if len(rows) == 1 else rows
+        assert a_new.shape == a_old.shape == want.shape
+        assert np.array_equal(a_new, a_old) and np.array_equal(a_new, want)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("# t=0.0\n1.0,,2.0\n", id="empty_token"),
+        pytest.param("# t=0.0\n1.0,abc\n", id="not_a_number"),
+        pytest.param("# t=0.0\n1.0,2.0\n3.0\n", id="ragged_rows"),
+        pytest.param("# t=0.0\n1.0\n2.0,3.0\n", id="ragged_rows_short_first"),
+        pytest.param("# t=x\n1.0\n", id="bad_time"),
+        pytest.param("1.0,2.0\n", id="no_header"),
+        pytest.param("", id="empty_file"),
+        pytest.param("# t=0.0\n1.0\n\xff\n", id="not_utf8"),
+    ])
+    def test_malformed_raise_like_per_value_parser(self, text):
+        data = text.encode("latin-1")
+        for parse in (_parse_snapshot, old_parse_snapshot):
+            with pytest.raises(DataIntegrityError):
+                parse(data, "s")
+
+    def test_header_only_rejected(self):
+        """The per-value parser returned an empty array here, which
+        ``load_run`` refused for its size; now the parse refuses it."""
+        with pytest.raises(DataIntegrityError, match="no rows"):
+            _parse_snapshot(b"# t=0.0\n", "s")
+        assert old_parse_snapshot(b"# t=0.0\n", "s")[1].size == 0
+
     def test_round_trip_1d(self, tmp_path):
         rng = np.random.default_rng(0)
         f = rng.normal(size=17)
