@@ -3,9 +3,9 @@
 A run directory holds the scenario config, one CSV pair per stored
 snapshot (``u_XXXXXX.csv``, ``h_XXXXXX.csv``), 8-bit PGM heatmaps of the
 final slices, and ``manifest.json`` with a sha256 digest of each of these
-files, taken from the bytes as they are written.
-Snapshots use shortest round-trip decimal formatting so reloading them is
-loss-free and reruns are byte-identical.
+files, taken from the bytes as they are written.  u snapshots hold shortest
+round-trip decimals and h snapshots the integers -1/1 (older ``-1.0``/``1.0``
+files load too), so reloading is loss-free and reruns are byte-identical.
 
 Analysis reconstructs the solution from disk (verifying digests), runs the
 free-boundary classification and the diagnostics, and writes the jump
@@ -58,10 +58,12 @@ def save_config(cfg: ScenarioConfig, path) -> str:
 
 
 def write_snapshot_csv(path, f: np.ndarray, t: float) -> str:
-    """``# t=<time>`` comment line, then one row per grid row; returns the sha256."""
-    # a row at a time, as Python floats and then as bytes: the file's text
+    """``# t=<time>`` comment line, then one row per grid row; returns the sha256.
+    Integer arrays are written as integers, any other as float64, by ``repr``."""
+    # a row at a time, as Python numbers and then as bytes: the file's text
     # exists once, as the lines, before they are joined
-    rows = (row.astype(float, copy=False).tolist() for row in np.atleast_2d(f))
+    dtype = f.dtype if np.issubdtype(f.dtype, np.integer) else float
+    rows = (row.astype(dtype, copy=False).tolist() for row in np.atleast_2d(f))
     lines = [f"# t={float(t)!r}\n".encode()]
     lines += ((",".join(map(repr, row)) + "\n").encode() for row in rows)
     return _write(path, b"".join(lines))
@@ -311,15 +313,13 @@ def _phi_tables(sol, atlas, radii) -> list:
 
     tables = []
     r_need = max(radii)
+    directions = dg.probe_directions(sol.grid.dim)
     rows = atlas.gamma_0[:4]
     gaps = sol.grid.boundary_gap(atlas.idx[rows]).tolist()
     for z, gap in zip(atlas.points(rows), gaps):
-        t_depth = float(sol.times[z.t_index] - sol.times[0])
-        if t_depth < r_need**2 or gap < r_need:
+        if sol.times[z.t_index] - sol.times[0] < r_need**2 or gap < r_need:
             continue
-        rho0 = min(gap, max(r_need, 2.0 * r_need))
-        directions = dg.probe_directions(sol.grid.dim)
-        tables.extend(dg.acf_phi(sol, z, directions, rho0, radii))
+        tables.extend(dg.acf_phi(sol, z, directions, min(gap, 2.0 * r_need), radii))
     return tables
 
 

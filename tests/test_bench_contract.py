@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 # wrapped by the tracer but no longer looked up there: the solver calls the
 # stencil kernel directly
@@ -23,6 +25,8 @@ ABSENT = {("hysterm.solver", "laplacian")}
 def load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is built
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -130,3 +134,36 @@ def test_run_and_analyze_reach_every_patch_point(tmp_path):
     reached = {tuple(p) for p in got["reached"]}
     assert set(points) - reached == UNREACHED
     assert {points[p] for p in reached} <= set(got["layers"])
+
+
+# Small runs whose snapshot files the benchmark parses with its own reader:
+# a relay oscillator long enough for a full period (the sweep members'
+# check) and a 2D Dirichlet run whose relays flip (the heat_2d check).
+OSCILLATOR = {
+    "name": "osc", "dim": 1, "extent": [1.0], "nx": [5], "dt": 0.01, "T": 3.0,
+    "alpha": 0.0, "beta": 1.0, "bc": {"kind": "neumann"},
+    "preset": {"kind": "homogeneous", "u0": 0.5, "h0": 1},
+}
+DIRICHLET_2D = {
+    "name": "dirichlet2d", "dim": 2, "extent": [1.0, 1.0], "nx": [11, 11],
+    "dt": 1e-3, "T": 0.1, "alpha": 0.2, "beta": 0.7,
+    "bc": {"kind": "dirichlet", "value": 0.0}, "snapshot_stride": 10,
+    "preset": {"kind": "sine", "amplitude": 1.0, "modes": 1, "h0": -1},
+}
+
+
+@pytest.mark.parametrize("cfg", [OSCILLATOR, DIRICHLET_2D], ids=["oscillator", "2d"])
+def test_benchmark_checks_accept_cli_run_directories(tmp_path, monkeypatch, cfg):
+    """A snapshot format the benchmark's output checks cannot read fails
+    here, not only in the benchmark runs."""
+    from hysterm.cli import main
+
+    workloads = load(ROOT / "bench" / "workloads.py", "bench_workloads")
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(dict(cfg, output_dir="run")))
+    assert main(["run", "cfg.json"]) == 0
+    run_dir = tmp_path / "run"
+    assert workloads.verify_digests(run_dir) == []
+    assert workloads.relay_state_problems(run_dir, cfg) == []
+    if cfg is OSCILLATOR:
+        assert workloads.oscillator_period_problems(run_dir, cfg) == []

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -141,9 +142,11 @@ class TestConfig:
 
 
 def old_render_snapshot(f, t) -> bytes:
-    """The per-value snapshot writer as it stood before the row-wise one."""
+    """The per-value snapshot writer as it stood before the row-wise one,
+    with integer fields written as integers."""
+    cast = int if np.issubdtype(f.dtype, np.integer) else float
     rows = "".join(
-        ",".join(repr(float(v)) for v in row) + "\n" for row in np.atleast_2d(f)
+        ",".join(repr(cast(v)) for v in row) + "\n" for row in np.atleast_2d(f)
     )
     return f"# t={float(t)!r}\n{rows}".encode()
 
@@ -235,6 +238,21 @@ class TestSnapshotCsv:
         p = tmp_path / "s.csv"
         write_snapshot_csv(p, np.zeros(3), t=0.1)
         assert p.read_text().splitlines()[0] == "# t=0.1"
+
+    @pytest.mark.parametrize("f, text", [
+        pytest.param(np.array([0.1, -2.5, 3e-8], dtype=np.float32),
+                     "0.10000000149011612,-2.5,2.999999892949745e-08\n", id="float32"),
+        pytest.param(np.array([[True, False], [False, True]]), "1.0,0.0\n0.0,1.0\n",
+                     id="bool"),
+        pytest.param(np.array([-1, 1], dtype=np.int8), "-1,1\n", id="int8"),
+        pytest.param(np.array([3, -7]), "3,-7\n", id="int64"),
+    ])
+    def test_integers_as_integers_all_else_as_float64(self, tmp_path, f, text):
+        """float32 and bool fields are cast to float64 and render as they
+        did when every field was cast; integer fields render as integers."""
+        p = tmp_path / "s.csv"
+        write_snapshot_csv(p, f, t=0.5)
+        assert p.read_text() == "# t=0.5\n" + text
 
 
 class TestPgm:
@@ -455,6 +473,8 @@ class TestCli:
         [
             pytest.param([("h_000003.csv", None, "0.7")], False, "h_000003.csv",
                          id="relay_value_not_pm1"),
+            *(pytest.param([("h_000003.csv", None, token)], False, "h_000003.csv",
+                           id=f"relay_token_{token}") for token in ("0", "2", "0.5", "nan")),
             pytest.param([("u_000003.csv", None, "nan")], False, "u_000003.csv",
                          id="nan_field_value"),
             pytest.param([("u_000003.csv", "0.002", None),
@@ -828,14 +848,14 @@ GOLDEN_CONFIG = {
 GOLDEN_DIGESTS = {
     "atlas.csv": "87aca93cd075706c446354ad5b73ba81ff2b41e0f7885bc669be5b4698812a8c",
     "config.json": "8db7b4dc0a0cb22e305baf4bacb4c24020c9a66ec1a33020ddda7940fb004ef3",
-    "h_000000.csv": "5aa573f47087ccbba896d36136aab6403f6723d19bda6e74acab22250714101a",
-    "h_000001.csv": "e4a9cf89d05696c1ea55c6e0d3d8e799a31976b1351c3e9ca97dc15ca592d307",
-    "h_000002.csv": "c23b5fd7514ceef183e2f7ee4be4b5d0d1851d4aaca6e1e75a8156c954e7a9cb",
-    "h_000003.csv": "050372aabe912589d40502b40a8eb6e933bd681d2630dfd0b5a57afa6775c34b",
-    "h_000004.csv": "6483545a5dac61c3905844cff5a419ab513833a724b625897f36fa3d80538326",
-    "h_000005.csv": "76408f991a5111ef4d84bc21d176ec009a777d29b55a93bae85c9026337f6e76",
+    "h_000000.csv": "3073180d91a18b77e4f27493925b9edb9a5c2d979503931b2af30b7e1daf61ca",
+    "h_000001.csv": "8641b25c55b01f7a15b6e839fe9567aa94554a015df7881bddf47cdb16e0bc2b",
+    "h_000002.csv": "3a992a4013efacca7ea5ff40fa52646c5b60935082f6f67a9ac0ff32151ed3ed",
+    "h_000003.csv": "ba4dd76e0a119ff328d6a3a7a8246fb4c0da2d1fd5622c894a9faa4e51875e60",
+    "h_000004.csv": "d05a3c285b98cb3a0d986b9cc03c17b5c8aca2dc11030e924aaafc5b6454778e",
+    "h_000005.csv": "bc4d1b31f2ef0ee03f196b04103eb52d2f3df3c503e8097f664c3b4ec5a4a552",
     "h_final.pgm": "7e674255637849ad562916e6d50a81f3188565da9003f4469b06ca25e77f1a6b",
-    "manifest.json": "9813e69ff13b436d1fc028543b2cccce45d229d139045c94100fa6b34ef4d953",
+    "manifest.json": "225c85cf20212deaf727643cc8209a3783bdbf412d222c232d7743e22027c370",
     "u_000000.csv": "dd0dd3019b07531874f95c2ae0ca629a8f5ec44ba82922c0f4ffa1bd138fc91d",
     "u_000001.csv": "9834c41f0979958836b76c896e47bb3bca194befda8f67101df8b70e4e3d02d4",
     "u_000002.csv": "d11047325e4d74e9947fa1d00d85de87ebf9b8724b449bae9b9e4b9c51194dda",
@@ -844,6 +864,21 @@ GOLDEN_DIGESTS = {
     "u_000005.csv": "95e209be01f5a3c0e2390ab6775bfc3cd947624b1f5a5bc7d1e423aa321b1a21",
     "u_final.pgm": "e49efe50a27fd5912a3f3e037cd5464551eea620f1576619b2b41d740b1b64d4",
 }
+
+
+# sha256 of the times, u and h stacks that load_run returns for the golden
+# runs: the file pins above may move with the text format, these may not
+GOLDEN_ARRAYS = {
+    "times": "1f4c28cb4122f4758cbd2dfe0ed46d4cdc5ab1ceec61b92c2c70c60601890562",
+    "u": "c20bb55828abb6f7066e1226d01b89bec52036d08420d2c73eaeddc75ed7dbab",
+    "h": "5aa30c46cb446f075d4f4062825f6e0ed6cc3b6d208680966488fbcf088db75c",
+}
+
+
+def array_digests(run_dir) -> dict:
+    sol, _ = load_run(run_dir)
+    return {k: hashlib.sha256(getattr(sol, k).tobytes()).hexdigest()
+            for k in ("times", "u", "h")}
 
 
 def test_golden_digests(tmp_path, monkeypatch):
@@ -857,13 +892,14 @@ def test_golden_digests(tmp_path, monkeypatch):
         for name in GOLDEN_DIGESTS
     }
     assert got == GOLDEN_DIGESTS
+    assert array_digests("run") == GOLDEN_ARRAYS
 
 
 # The same for small 2D plateau runs, one per boundary condition kind, on a
 # grid with different spacings along x and y; the Neumann run also stores a
 # final snapshot off the stride.  Both runs flip relays in both directions.
 # Every run file is pinned: the config, each snapshot, both PGMs and the
-# manifest (which holds sup_bound_M).
+# manifest (which holds sup_bound_M); then the loaded stacks, as above.
 GOLDEN_2D_BASE = {
     "dim": 2, "extent": [2.0, 1.0], "nx": [9, 6], "dt": 0.008, "T": 0.2,
 }
@@ -876,25 +912,25 @@ GOLDEN_2D = {
             "config.json":
                 "432da67dba2cfccdcafa28d7b32c96d7dd3458ce0700e3d1dc2aedca7a5487bd",
             "h_000000.csv":
-                "490ba46c6c5aedb01a5d5d813cbdb1c171c3ea9f228070fc2d37b14bc29d7595",
+                "78019fc1f817dc02102aeeac75cc800acf584d47cb940c032a076806786b6c7d",
             "h_000001.csv":
-                "4f32217c658eec2ca9e0a287435b927b2ca6d3224ea8b883b938175a5ce92661",
+                "165aaaefadc9876b15fcbd4464dad32c397509068a0c3d7a1acea305504ab7e2",
             "h_000002.csv":
-                "627e8cf2c0bdf981a59cdabc22ab7b5bd70af9f5cf1b834afde7fd103b325bd1",
+                "7fea72ea263ee20990a59c570a19dbea41d87f4ebd7b33cd360f4ad0cb5c0a38",
             "h_000003.csv":
-                "e5233d1bc2deab1b2ddb9a7924ee094163c5c94f3fe3ef0da5967c2460278ccc",
+                "92d87fc6e5b0fbc8524fc9718e5056d626159bdf0b9993f41cef588629c681e3",
             "h_000004.csv":
-                "d884a63d4a0d6ec59f994a1c293b2cbf3eb7c6c43d42d5c2932a607ddbb70c73",
+                "cb3f5b0bfc3047861315dbf562a27db50344608c3f9b2c45bd8bf8e4a039711f",
             "h_000005.csv":
-                "39226e8d6cdf265dbd966cc96bf406e5c3d96a9cd49490caa493181e67c95c6b",
+                "af42aa843abb0a992d552769aa2ecabef9d646d98f6393db2c289fe68c1c1a1a",
             "h_000006.csv":
-                "3d4f325f038f365ca5356eb08ca877e91be0e841100aaa355a8715015a07d599",
+                "b6f0b34bffa9b88f9d8d4f1ae76fcbd1dbe50f20e06e6253fef1c96fdf3f26a8",
             "h_000007.csv":
-                "ce50b913759dc5dc50b787ea455ca4806847edb94662731ead649aa5ac8de5b8",
+                "ae8b4110e56a984a7be7ee1355ec0ce4165a8fd7ed15da699744a7d3d58cb618",
             "h_final.pgm":
                 "de221c661e84cded85e0498430381919d8485d13530ca2d787d8e3b9da9813ad",
             "manifest.json":
-                "14cfb779f76994b4c223dfc936004daeb4812bcdfc8139c01f5bfce8b0c9ec05",
+                "17d8e729b7feeae69a668eaf83c6d2866e4f218b7c7be50b8e6c51f12c5fb815",
             "u_000000.csv":
                 "80c668f66edb3e2a96b24e647a06c63374365c8103144ed67282c490753ce131",
             "u_000001.csv":
@@ -914,6 +950,11 @@ GOLDEN_2D = {
             "u_final.pgm":
                 "0a07f483abb8920a983571a2896905eec28979c806cf7b9ad6135a7f9caef38b",
         },
+        {
+            "times": "7863f3689189c43639d6e6116ba53945ccc726186bc24445f4a0185c16dfc201",
+            "u": "7af511c260d6770e3d1af1e212658ec4628e3f76ff197903e2e225825b0b4ab6",
+            "h": "71c0c294219dc1de8f93238b73628c1b0e9fcbe05a0b262e9a4aba14befc2456",
+        },
     ),
     "dirichlet": (
         dict(GOLDEN_2D_BASE, name="golden2d_dirichlet", alpha=0.28, beta=0.31,
@@ -923,21 +964,21 @@ GOLDEN_2D = {
             "config.json":
                 "b3933293f819fafce98d1d02c2ce86932ebbb8a15074ccd4d6a01dcf232a29ca",
             "h_000000.csv":
-                "490ba46c6c5aedb01a5d5d813cbdb1c171c3ea9f228070fc2d37b14bc29d7595",
+                "78019fc1f817dc02102aeeac75cc800acf584d47cb940c032a076806786b6c7d",
             "h_000001.csv":
-                "bb249567307363d4b8e9f1844433f21c2812417e2a881e8c6196fadd3419cb06",
+                "7eba8774e3ae9588a1f136d3b5aeef5671120ca10c9a76b1003387b8a388501c",
             "h_000002.csv":
-                "85267b37e7c8c3952ba1ac8a5650d9a679c46715f3503fc07679ec380df93f9f",
+                "007eb5efd3a2f4f3b97e0f2cd6c374c4f457b1047a77f86bc58aa95c977f4f37",
             "h_000003.csv":
-                "505a5b81da40477f9eafff72e30f2927e49754c580c454c9643189b6cbf3b146",
+                "c68f7e9893822aa59763b6cf1a3aeac37c31701f73a1470fa7d872628302741e",
             "h_000004.csv":
-                "1059ee15e1a30c8743dc76bf69d464ddaec2b7f3bcbd9c0b3fab001f8332949e",
+                "4e4dfd3778ad02e7a27b98e8b868d7440202c6195807bc08ba1568d75effbbcf",
             "h_000005.csv":
-                "68bacd6ca666573c654e0e238d09e3d59c5f1931ad65bf3239680389a85e7d9d",
+                "babfd42a37050118e06f9f75449eb7320d8499af11e506324e0d88b29606da51",
             "h_final.pgm":
                 "de221c661e84cded85e0498430381919d8485d13530ca2d787d8e3b9da9813ad",
             "manifest.json":
-                "af233b7421cdc221b57bfa8247dee1677dc3e59a974a1528360d9a1149a1ff59",
+                "dafbb04076cedef63be436ca7ecaa6e3afa92229f95065273b245081a228f4f1",
             "u_000000.csv":
                 "aee0b5b4178831d474d5d4d4e04a68cd59ac4229d32fb746f193a2c74bee3e2d",
             "u_000001.csv":
@@ -953,19 +994,53 @@ GOLDEN_2D = {
             "u_final.pgm":
                 "8de847dd2d9c11b234ee05c97556a975bff1ef1f760524bf8c667c286663b127",
         },
+        {
+            "times": "1f4c28cb4122f4758cbd2dfe0ed46d4cdc5ab1ceec61b92c2c70c60601890562",
+            "u": "e731a1997e2715d5a312c98f43cf3f44275289289507d661137312d707edc43f",
+            "h": "6ca0a0f970e3ad0f8da52da5b531189c518507f849503fe12549ec6007c7ee0a",
+        },
     ),
 }
 
 
 @pytest.mark.parametrize("bc", sorted(GOLDEN_2D))
 def test_golden_digests_2d(tmp_path, monkeypatch, bc):
-    cfg, digests = GOLDEN_2D[bc]
+    cfg, digests, arrays = GOLDEN_2D[bc]
     monkeypatch.chdir(tmp_path)
     Path("golden.json").write_text(json.dumps(dict(cfg, output_dir="run")))
     assert main(["run", "golden.json"]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in Path("run").iterdir()}
     assert got == digests
+    assert array_digests("run") == arrays
+
+
+@pytest.mark.parametrize("cfg", [GOLDEN_CONFIG, GOLDEN_2D["neumann"][0]],
+                         ids=["1d", "2d"])
+def test_legacy_float_relay_files_load_alike(tmp_path, monkeypatch, cfg):
+    """A run directory whose h files hold the older ``-1.0``/``1.0`` text
+    (digests updated) loads to the same relay stack, and its analysis
+    writes the same report files."""
+    monkeypatch.chdir(tmp_path)
+    Path("golden.json").write_text(json.dumps(dict(cfg, output_dir="run")))
+    assert main(["run", "golden.json"]) == 0
+    shutil.copytree("run", "legacy")
+    sol, _ = load_run("run")
+    manifest = json.loads(Path("legacy/manifest.json").read_text())
+    for k, t in enumerate(sol.times):
+        path = Path(f"legacy/h_{k:06d}.csv")
+        data = old_render_snapshot(sol.h[k].astype(float), t)
+        assert b"." not in path.read_bytes().split(b"\n", 1)[1]
+        assert data.split(b"\n", 1)[1].count(b".0") == sol.h[k].size
+        path.write_bytes(data)
+        manifest["files"][path.name] = hashlib.sha256(data).hexdigest()
+    Path("legacy/manifest.json").write_text(json.dumps(manifest))
+    legacy, _ = load_run("legacy")
+    assert legacy.h.dtype == sol.h.dtype and legacy.h.tobytes() == sol.h.tobytes()
+    assert main(["analyze", "run"]) == 0 and main(["analyze", "legacy"]) == 0
+    for name in ("summary.json", "atlas.csv", "walls.csv", "growth.csv", "phi.csv",
+                 "signs.csv", "profile.csv"):
+        assert Path("legacy", name).read_bytes() == Path("run", name).read_bytes()
 
 
 # A 2D analysis with non-empty phi tables: the benchmark's levelsets_2d
