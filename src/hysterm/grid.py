@@ -144,37 +144,53 @@ def _check_field(f: np.ndarray, g: Grid) -> np.ndarray:
     return f
 
 
+def _second_diff_ops(
+    f: np.ndarray, axis: int, dx: float, g: Grid, out: np.ndarray,
+    twice: np.ndarray,
+) -> list:
+    """The ufunc calls ``(ufunc, a, b, out)`` of the central second
+    difference of ``f`` along one axis into ``out``, given ``twice`` holding
+    ``2.0*f``; ``twice`` may be ``out`` itself.
+
+    ``f``, ``out`` and ``twice`` are C-contiguous arrays of one shape, ``f``
+    distinct from the other two.  The interior stencil
+    ``((f[2:] - 2.0*f[1:-1]) + f[:-2]) / h2`` runs once over their flat
+    views with the axis stride as offset, so every axis reads contiguous
+    memory; each entry of ``twice`` is read before the same entry of
+    ``out`` is written.  The entries at either end of the axis, where the
+    flat offset wraps into a neighbouring row or snapshot, are left as they
+    come out, except that Neumann edges are then overwritten with the
+    reflected-ghost value.
+    """
+    h2 = dx * dx
+    s = math.prod(f.shape[axis + 1:])
+    flat, mid = f.reshape(-1), out.reshape(-1)[s:-s]
+    ops = [(np.subtract, flat[2 * s:], twice.reshape(-1)[s:-s], mid),
+           (np.add, mid, flat[: -2 * s], mid), (np.divide, mid, h2, mid)]
+    if g.bc_kind == BC_NEUMANN:
+        lead = (slice(None),) * axis
+        for e, i in ((slice(0, 1), slice(1, 2)), (slice(-1, None), slice(-2, -1))):
+            edge = out[lead + (e,)]
+            ops += [(np.subtract, f[lead + (i,)], f[lead + (e,)], edge),
+                    (np.multiply, edge, 2.0, edge), (np.divide, edge, h2, edge)]
+    return ops
+
+
 def _second_diff(
     f: np.ndarray, axis: int, dx: float, g: Grid, out: np.ndarray
 ) -> np.ndarray:
     """Central second difference along one axis, written into ``out``.
 
-    ``f`` and ``out`` are distinct C-contiguous arrays of one shape.  The
-    interior stencil ``((f[2:] - 2.0*f[1:-1]) + f[:-2]) / h2`` runs once
-    over their flat views with the axis stride as offset, so every axis
-    reads contiguous memory; the entries at either end of the axis, where
-    the flat offset wraps into a neighbouring row or snapshot, are then
-    overwritten by the edge rule.  Neumann edges use a reflected ghost
-    value; Dirichlet edges read 0 (boundary nodes are pinned by the solver,
-    so their stencil value is never consumed).  Returns ``out``.
+    Runs ``_second_diff_ops`` with ``out`` first holding ``2.0*f``.
+    Dirichlet edges read 0 (boundary nodes are pinned by the solver, so
+    their stencil value is never consumed).  Returns ``out``.
     """
-    h2 = dx * dx
-    s = math.prod(f.shape[axis + 1:])
-    flat, mid = f.reshape(-1), out.reshape(-1)[s:-s]
-    np.multiply(flat[s:-s], 2.0, out=mid)
-    np.subtract(flat[2 * s:], mid, out=mid)
-    np.add(mid, flat[: -2 * s], out=mid)
-    np.divide(mid, h2, out=mid)
-    lead = (slice(None),) * axis
-    lo, hi = lead + (slice(0, 1),), lead + (slice(-1, None),)
-    if g.bc_kind == BC_NEUMANN:
-        for edge, inner in ((lo, lead + (slice(1, 2),)), (hi, lead + (slice(-2, -1),))):
-            e = out[edge]
-            np.subtract(f[inner], f[edge], out=e)
-            e *= 2.0
-            e /= h2
-    else:
-        out[lo] = out[hi] = 0.0
+    np.multiply(f, 2.0, out=out)
+    for op, a, b, o in _second_diff_ops(f, axis, dx, g, out, out):
+        op(a, b, out=o)
+    if g.bc_kind == BC_DIRICHLET:
+        lead = (slice(None),) * axis
+        out[lead + (0,)] = out[lead + (-1,)] = 0.0
     return out
 
 

@@ -5,16 +5,20 @@ reads the new field.  A +1 relay drives the field down, a -1 relay drives
 it up, so the homogeneous dynamics is a sawtooth oscillator between the
 thresholds with period 2*(beta - alpha).
 
-``run`` integrates in place.  It checks the CFL bound once and allocates
-its buffers once: the field, a Laplacian and a work buffer, the relay's
-boolean states and their ±1 float copy for the ``- h`` term.  Each step
-makes one ``grid._second_diff`` pass per axis, the Euler update with the
-Dirichlet values re-pinned, one ``max``/``min`` pair for the running
-``sup_bound_M`` (numpy's max propagates NaN, so a NaN field is caught
-there) and one ``relay.relay_rule``; int8 relay values are written only at
-stored snapshots.  ``step`` is the checked single step on the same kernel.
-The operations and their order are those of ``u + dt*(laplacian(u) - h)``,
-so the results are bitwise those of that expression.
+``run`` integrates in place.  It checks the CFL bound once, allocates its
+buffers once and builds the ufunc calls of one Euler step once, over fixed
+views (``_step_ops``): ``2*u`` shared by every axis's
+``grid._second_diff_ops``, then the update.  A Dirichlet step updates the
+flat range of the nodes strictly inside, so it reads no scratch entry the
+step did not write, and re-pins the faces with one strided write per axis.
+The ``max``/``min`` pair taken after each step gives ``sup_bound_M``,
+catches NaN (numpy's max propagates it) and gates the relay: a state turns
++1 only where ``u >= beta`` and -1 only where it is +1 and ``u <= alpha``,
+so while ``max u < beta`` and either no state is +1 or ``min u > alpha``,
+``relay.relay_rule`` would change nothing and is skipped.  ``step`` runs
+the same calls once.  The operations and their order are those of
+``u + dt*(laplacian(u) - h)``, so the results are bitwise those of that
+expression.
 
 No sub-step event location is attempted; switching times carry an O(dt)
 error that refinement studies quantify directly.
@@ -28,7 +32,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import CFLError, HystermError
-from .grid import BC_DIRICHLET, Grid, SpaceTimeSolution, _second_diff
+from .grid import BC_DIRICHLET, Grid, SpaceTimeSolution, _second_diff_ops
 from .presets import build_grid, initial_data
 from .relay import PLUS, Thresholds, field_init, field_update, relay_rule
 
@@ -45,34 +49,47 @@ def _check_cfl(g: Grid, dt: float, cfl_safety: float) -> None:
         )
 
 
-def _apply_bc(u: np.ndarray, g: Grid) -> None:
-    if g.bc_kind == BC_DIRICHLET:
-        if g.dim == 1:
-            u[0] = u[-1] = g.bc_value
-        else:
-            u[0, :] = u[-1, :] = g.bc_value
-            u[:, 0] = u[:, -1] = g.bc_value
+def _pin_ops(u: np.ndarray, g: Grid) -> list:
+    """Calls that write the Dirichlet value on every face of ``u``, one
+    strided write per axis (``bc_value * 1.0`` is exact); none under
+    Neumann."""
+    if g.bc_kind != BC_DIRICHLET:
+        return []
+    return [(np.multiply, g.bc_value, 1.0,
+             u[(slice(None),) * a + (slice(None, None, n - 1),)])
+            for a, n in enumerate(g.shape)]
 
 
-def _advance(u, hf, lap, work, g: Grid, dt: float) -> None:
-    """``u <- u + dt * (laplacian(u) - hf)`` in place, boundary re-pinned;
-    ``lap`` and ``work`` are field-sized scratch buffers."""
-    _second_diff(u, 0, g.dx[0], g, lap)
-    for axis in range(1, g.dim):
-        lap += _second_diff(u, axis, g.dx[axis], g, work)
-    np.subtract(lap, hf, out=work)
-    work *= dt
-    u += work
-    _apply_bc(u, g)
+def _run_ops(ops: list) -> None:
+    for f, a, b, out in ops:
+        f(a, b, out=out)
 
 
-def _sup_abs(u: np.ndarray) -> float:
-    """``max |u|`` as ``max(u.max(), -u.min())``; raises on NaN, which
-    numpy's max propagates."""
+def _step_ops(u, hf, lap, work, g: Grid, dt: float) -> list:
+    """The ufunc calls ``(ufunc, a, b, out)`` of ``u <- u + dt *
+    (laplacian(u) - hf)`` in place, over fixed views of C-contiguous arrays;
+    ``work`` holds ``2.0*u`` for both stencils, then the y stencil."""
+    ops = [(np.multiply, u, 2.0, work)]
+    for axis, out in enumerate((lap, work)[: g.dim]):
+        ops += _second_diff_ops(u, axis, g.dx[axis], g, out, work)
+    inside = slice(None)
+    if g.bc_kind == BC_DIRICHLET:  # first to last node strictly inside
+        k = sum(math.prod(g.shape[a + 1:]) for a in range(g.dim))
+        inside = slice(k, -k)
+    L, W, H, U = (x.reshape(-1)[inside] for x in (lap, work, hf, u))
+    if g.dim == 2:
+        ops.append((np.add, L, W, L))
+    ops += [(np.subtract, L, H, W), (np.multiply, W, dt, W), (np.add, U, W, U)]
+    return ops + _pin_ops(u, g)
+
+
+def _extremes(u: np.ndarray) -> tuple:
+    """``(max u, min u)`` as floats; raises on NaN, which numpy's max
+    propagates."""
     hi, lo = u.max(), u.min()
     if math.isnan(hi):
         raise HystermError("NaN detected in the field update")
-    return float(max(hi, -lo))
+    return float(hi), float(lo)
 
 
 def step(
@@ -86,10 +103,10 @@ def step(
 ):
     """One explicit Euler step; returns the new (u, h) pair."""
     _check_cfl(g, dt, cfl_safety)
-    u_new = np.array(u, dtype=float)
-    _advance(u_new, h.astype(float), np.empty_like(u_new), np.empty_like(u_new),
-             g, dt)
-    _sup_abs(u_new)
+    u_new = np.array(u, dtype=float, order="C")
+    _run_ops(_step_ops(u_new, np.array(h, dtype=float, order="C"),
+                       np.empty(g.shape), np.empty(g.shape), g, dt))
+    _extremes(u_new)
     h_new = h if freeze_h else field_update(h, u_new, th)
     return u_new, h_new
 
@@ -106,7 +123,7 @@ def run(cfg: ScenarioConfig) -> SpaceTimeSolution:
     _check_cfl(g, dt, cfg.cfl_safety)
     th = Thresholds(cfg.alpha, cfg.beta)
     u0, hint = initial_data(cfg, g)
-    _apply_bc(u0, g)
+    _run_ops(_pin_ops(u0, g))
     h = field_init(u0, hint, th)
 
     n_steps = int(round(cfg.T / dt))
@@ -117,22 +134,26 @@ def run(cfg: ScenarioConfig) -> SpaceTimeSolution:
     times = np.array([k * dt for k in keep])
     us = np.empty((len(keep),) + g.shape)
     hs = np.empty((len(keep),) + g.shape, dtype=np.int8)
-    u = np.array(u0, dtype=float)
+    u = np.array(u0, dtype=float, order="C")
     us[0], hs[0] = u, h
-    sup_m = _sup_abs(u)
-    lap, work = np.empty_like(u), np.empty_like(u)
+    hi, lo = _extremes(u)
+    sup_m = max(hi, -lo)
     plus, scratch = h == PLUS, np.empty(g.shape, dtype=bool)
     hf = h.astype(float)
-    freeze_h = cfg.freeze_h
+    ops = _step_ops(u, hf, np.empty(g.shape), np.empty(g.shape), g, dt)
+    live = not cfg.freeze_h
+    some_plus = bool(plus.any())
     slot = 1
     for k in range(1, n_steps + 1):
-        _advance(u, hf, lap, work, g, dt)
-        sup_m = max(sup_m, _sup_abs(u))
-        if not freeze_h:
+        _run_ops(ops)
+        hi, lo = _extremes(u)
+        sup_m = max(sup_m, max(hi, -lo))
+        if live and (hi >= th.beta or (some_plus and lo <= th.alpha)):
             relay_rule(plus, u, th, scratch)
             np.copyto(hf, plus)
             hf *= 2.0
             hf -= 1.0
+            some_plus = bool(plus.any())
         if k == keep[slot]:
             us[slot], hs[slot] = u, hf
             slot += 1

@@ -16,6 +16,10 @@ from hysterm.solver import cfl_limit, run, step
 
 from conftest import fourier_heat_oracle, frozen_heat_config
 
+# An overflow or invalid operation anywhere in a solve fails the test: a
+# scratch entry carried over from one step to the next shows up this way.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TH = Thresholds(0.0, 1.0)
 
 
@@ -243,6 +247,13 @@ def reference_run(cfg):
     return np.array(us), np.array(hs), sup_m
 
 
+def assert_bitwise_reference(sol, reference):
+    us, hs, sup_m = reference
+    assert np.array_equal(sol.u, us)
+    assert np.array_equal(sol.h, hs)
+    assert sol.sup_bound_M == sup_m
+
+
 def small_config(dim, bc, **overrides):
     """A small plateau scenario: 9 points in 1D, 9x6 with unequal spacings
     in 2D; with the default thresholds and no frozen relay, relays flip
@@ -308,18 +319,132 @@ class TestFusedKernel:
             run(cfg)
 
     def test_nan_caught_in_run(self, monkeypatch):
+        """A NaN made at step 5 in the shared ``2*u`` buffer reaches the
+        field and stops the run on that step, 1D Neumann and 2D Dirichlet."""
         import hysterm.solver as solver
 
-        real = solver._second_diff
+        real, calls = solver._step_ops, []
 
-        def poisoned(f, axis, dx, g, out):
-            real(f, axis, dx, g, out)
-            out[1] = np.nan
-            return out
+        def nan_at_step_5(a, b, out):
+            calls.append(None)
+            if len(calls) == 5:
+                out.reshape(-1)[out.size // 2] = np.nan
 
-        monkeypatch.setattr(solver, "_second_diff", poisoned)
-        with pytest.raises(HystermError, match="NaN"):
-            run(homogeneous_config(T=0.01))
+        def poisoned(u, hf, lap, work, g, dt):
+            ops = real(u, hf, lap, work, g, dt)
+            return ops[:1] + [(nan_at_step_5, None, None, work)] + ops[1:]
+
+        monkeypatch.setattr(solver, "_step_ops", poisoned)
+        for cfg in (homogeneous_config(T=0.01), REFERENCE_CASES["2d_dirichlet"]()):
+            calls.clear()
+            with pytest.raises(HystermError, match="NaN"):
+                run(cfg)
+            assert len(calls) == 5
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_coarse_dirichlet_near_cfl_limit(self, dim):
+        """dt at 0.99 of the CFL limit on a grid spaced 25 apart: a scratch
+        entry that each step read from the step before would grow like
+        (1 + dt)**k and overflow within a few hundred steps."""
+        extent, nx = [100.0, 75.0][:dim], [5, 4][:dim]
+        dt = 0.99 * 25.0**2 / (2 * dim)
+        cfg = config_from_dict({
+            "name": f"coarse_{dim}d", "dim": dim, "extent": extent, "nx": nx,
+            "dt": dt, "cfl_safety": 1.0, "T": 400 * dt, "alpha": -1.0, "beta": 1.0,
+            "bc": {"kind": "dirichlet", "value": 0.5}, "snapshot_stride": 7,
+            "preset": {"kind": "sine", "amplitude": 1.0, "modes": 1, "h0": 1},
+        })
+        assert_bitwise_reference(run(cfg), reference_run(cfg))
+
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dirichlet_step_reads_only_what_it_wrote(self, dim):
+        """With NaN-filled scratch buffers, a Dirichlet step without its
+        face pins leaves the field finite; with them it is the unfused
+        expression."""
+        import hysterm.solver as solver
+
+        g = Grid(extent=(2.0, 1.0)[:dim], nx=(9, 6)[:dim],
+                 bc_kind=BC_DIRICHLET, bc_value=0.3)
+        rng = np.random.default_rng(4)
+        u = rng.uniform(0.0, 1.0, size=g.shape)
+        hf = rng.choice([-1.0, 1.0], size=g.shape)
+        expected = u + 0.008 * (laplacian(u, g) - hf)
+        for axis in range(dim):
+            np.moveaxis(expected, axis, 0)[[0, -1]] = 0.3
+        ops = solver._step_ops(u, hf, np.full(g.shape, np.nan),
+                               np.full(g.shape, np.nan), g, 0.008)
+        solver._run_ops(ops[:-dim])
+        assert np.isfinite(u).all()
+        solver._run_ops(ops[-dim:])
+        assert np.array_equal(u, expected)
+
+
+class TestRelaySkip:
+    """``run`` applies the relay rule only on steps where a state can
+    change; the skipped steps must leave every output bitwise as it is."""
+
+    def test_exact_threshold_landings(self):
+        """dt = 1/8 on a flat field: u lands exactly on alpha and on beta,
+        where the closed comparisons must wake the relay."""
+        cfg = homogeneous_config(nx=[3], dt=0.125, cfl_safety=1.0, T=6.0)
+        sol = run(cfg)
+        assert (sol.u == 0.0).any() and (sol.u == 1.0).any()
+        assert_bitwise_reference(sol, reference_run(cfg))
+
+    def test_bundled_oscillator_equals_reference(self):
+        """Every switch of the homogeneous oscillator wakes the relay after
+        a long idle stretch inside the band."""
+        cfg = bundled_config("oscillator")
+        sol = run(cfg)
+        assert sol.num_snapshots == 10_001
+        assert_bitwise_reference(sol, reference_run(cfg))
+
+    def test_relay_rule_runs_on_every_flip_and_not_every_step(self, monkeypatch):
+        import hysterm.solver as solver
+
+        cfg = config_from_dict({
+            "name": "sine_2d", "dim": 2, "extent": [1.0, 1.0], "nx": [21, 21],
+            "dt": 5e-4, "T": 0.3, "alpha": 0.25, "beta": 0.75,
+            "bc": {"kind": "dirichlet", "value": 0.0},
+            "preset": {"kind": "sine", "amplitude": 1.0, "modes": 1, "h0": -1},
+        })
+        us, hs, sup_m = reference_run(cfg)
+        step_of = {u.tobytes(): k for k, u in enumerate(us)}
+        assert len(step_of) == len(us)
+        real, called = solver.relay_rule, []
+
+        def counting(plus, u_new, th, scratch):
+            called.append(step_of[u_new.tobytes()])
+            return real(plus, u_new, th, scratch)
+
+        monkeypatch.setattr(solver, "relay_rule", counting)
+        assert_bitwise_reference(run(cfg), (us, hs, sup_m))
+        flips = {k for k in range(1, len(hs)) if (hs[k] != hs[k - 1]).any()}
+        assert flips and flips <= set(called)
+        assert called == sorted(set(called))
+        assert len(called) < len(us) - 1
+
+    @given(dim=st.sampled_from([1, 2]),
+           bc=st.sampled_from([None, -0.2, 0.3, 0.8]),
+           level=st.floats(0.21, 0.39), curvature=st.floats(-0.3, 0.3),
+           h0=st.sampled_from([-1, 1]), stride=st.sampled_from([1, 4]),
+           freeze_h=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_run_equals_reference_across_band_exits(
+        self, dim, bc, level, curvature, h0, stride, freeze_h
+    ):
+        """The field starts around the band (0.2, 0.4), is driven out of it
+        and back for about three relay periods, so skipped and active steps
+        alternate."""
+        cfg = small_config(
+            dim,
+            {"kind": "neumann"} if bc is None else {"kind": "dirichlet", "value": bc},
+            alpha=0.2, beta=0.4, T=0.6, snapshot_stride=stride, freeze_h=freeze_h,
+            preset={"kind": "plateau", "level": level, "curvature": curvature,
+                    "h0": h0},
+        )
+        assert_bitwise_reference(run(cfg), reference_run(cfg))
 
 
 fields = st.lists(
