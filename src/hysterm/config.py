@@ -2,7 +2,8 @@
 
 Unknown keys are fatal so that programmatic sweeps catch typos.  All
 validation failures raise :class:`ConfigError` naming the violated
-invariant; nothing is truncated or coerced.
+invariant; nothing is truncated or coerced.  The ``Grid`` and ``Thresholds``
+built here check their own invariants, ``grid.check_cfl`` the time step.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import CFLError, ConfigError
-from .grid import BC_DIRICHLET, BC_NEUMANN
+from .errors import ConfigError
+from .grid import BC_NEUMANN, Grid, check_cfl
+from .relay import Thresholds
 
 PRESET_KINDS = {
     "homogeneous": {"u0", "h0"},
@@ -57,17 +59,15 @@ class ScenarioConfig:
         self.extent = tuple(float(e) for e in self.extent)
         self.nx = tuple(int(n) for n in self.nx)
 
-    @property
-    def dx_min(self) -> float:
-        return min(e / (n - 1) for e, n in zip(self.extent, self.nx))
-
-    @property
-    def cfl_bound(self) -> float:
-        return self.cfl_safety * self.dx_min**2 / (2.0 * self.dim)
-
     def to_dict(self) -> dict:
         """The fields in declaration order, as the config JSON holds them."""
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def build_grid(cfg: ScenarioConfig) -> Grid:
+    """The grid of a config; ``Grid`` checks its geometry and bc kind."""
+    return Grid(cfg.extent, cfg.nx, bc_kind=cfg.bc.get("kind"),
+                bc_value=float(cfg.bc.get("value", 0.0)))
 
 
 def _plain(value):
@@ -115,16 +115,13 @@ def validate_config(cfg: ScenarioConfig) -> None:
     })
     if not isinstance(cfg.freeze_h, bool):
         raise ConfigError(f"freeze_h must be true or false, got {cfg.freeze_h!r}")
-    if cfg.dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
     if len(cfg.extent) != cfg.dim or len(cfg.nx) != cfg.dim:
         raise ConfigError("extent and nx must have length dim")
-    if any(n < 3 for n in cfg.nx):
-        raise ConfigError(f"nx must be >= 3 per axis, got {cfg.nx}")
-    if any(e <= 0 for e in cfg.extent):
-        raise ConfigError(f"extent must be positive, got {cfg.extent}")
-    if not cfg.alpha < cfg.beta:
-        raise ConfigError(f"alpha >= beta: alpha={cfg.alpha}, beta={cfg.beta}")
+    try:
+        grid = build_grid(cfg)
+        Thresholds(cfg.alpha, cfg.beta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.T <= 0:
         raise ConfigError(f"T must be positive, got {cfg.T}")
     if cfg.dt <= 0:
@@ -135,16 +132,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         )
     if not 0 < cfg.cfl_safety <= 1:
         raise ConfigError(f"cfl_safety must be in ]0,1], got {cfg.cfl_safety}")
-    if cfg.dt > cfg.cfl_bound:
-        raise CFLError(
-            f"CFL violated: dt={cfg.dt}, need <= "
-            f"cfl_safety*dx_min^2/(2*dim) = {cfg.cfl_bound:.6g}"
-        )
+    check_cfl(grid, cfg.dt, cfg.cfl_safety)
     if cfg.snapshot_stride < 1:
         raise ConfigError("snapshot_stride must be >= 1")
-    bc_kind = cfg.bc.get("kind")
-    if bc_kind not in (BC_NEUMANN, BC_DIRICHLET):
-        raise ConfigError(f"unknown bc kind {bc_kind!r}")
     extra_bc = set(cfg.bc) - _BC_KEYS
     if extra_bc:
         raise ConfigError(f"unknown bc keys: {sorted(extra_bc)}")

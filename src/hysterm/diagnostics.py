@@ -27,6 +27,7 @@ from .grid import (
     boundary_distance,
     cylinder_slices,
     gradient,
+    gradient_norm_sq,
     hessian,
     parabolic_distance,
     spread_indices,
@@ -165,7 +166,7 @@ class _Quadrature:
     def energies(self, v: np.ndarray) -> list:
         """I(r, v) for each radius of the ladder, v given over the window."""
         v = v[self.slab_lo :]
-        gsq = (gradient(v, self.g) ** 2).sum(axis=0).reshape(len(v), -1)
+        gsq = gradient_norm_sq(v, self.g).reshape(len(v), -1)
         integrand = 0.5 * (gsq[self.row_cell] + gsq[self.row_cell + 1])
         sums = (integrand * self.row_kern * self.w).sum(axis=1).tolist()
         return [_add_cells(sums, terms) for terms in self.terms]
@@ -300,9 +301,6 @@ def acf_phi(
     one quadrature and one gradient of u over its window; D_e u uses e
     normalised, the table keeps e as given.
     """
-    t_star = sol.times[z_star.t_index]
-    if max(radii) ** 2 > t_star - sol.times[0] + _SLACK:
-        raise ValueError("t* must be at least max(radii)^2 above the start")
     g = sol.grid
     quad = _Quadrature(g, sol.times, g.coords(z_star.idx), z_star.t_index, radii, rho0)
     gvec = gradient(quad.window(sol.u), g)

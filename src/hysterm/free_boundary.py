@@ -38,7 +38,7 @@ from .grid import (
     Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
-    gradient,
+    gradient_norm_sq,
     laplacian,
     spread_indices,
     time_segments,
@@ -47,7 +47,8 @@ from .grid import (
 # int8 jump kind codes; reports.KIND_NAMES names them in atlas.csv
 JUMP_DOWN, JUMP_UP = 0, 1
 
-DEFAULT_WALL_MIN_STEPS = 3
+#: Consecutive snapshots a face must hold its wall conditions to be a wall.
+WALL_MIN_STEPS = 3
 
 # snapshots per block when separation_check marks the points near a level
 _LEVEL_BLOCK = 64
@@ -87,7 +88,6 @@ class FreeBoundaryAtlas:
     grad_norm_stack: np.ndarray
     level_tol: float
     grad_tol: float
-    wall_min_steps: int
     wall_segments: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -129,11 +129,8 @@ def default_grad_tol(sol: SpaceTimeSolution) -> float:
 
 
 def grad_norm_stack(sol: SpaceTimeSolution) -> np.ndarray:
-    """|Du| at every stored snapshot, accumulated in the gradient's buffer."""
-    grad = gradient(sol.u, sol.grid)
-    norm = np.square(grad[0], out=grad[0])
-    for comp in grad[1:]:
-        norm += np.square(comp, out=comp)
+    """|Du| at every stored snapshot, in one array of the u stack's size."""
+    norm = gradient_norm_sq(sol.u, sol.grid)
     return np.sqrt(norm, out=norm)
 
 
@@ -141,7 +138,6 @@ def classify(
     sol: SpaceTimeSolution,
     level_tol: float | None = None,
     grad_tol: float | None = None,
-    wall_min_steps: int = DEFAULT_WALL_MIN_STEPS,
 ) -> FreeBoundaryAtlas:
     """Extract and classify all free-boundary events of a solution."""
     if sol.num_snapshots < 2:
@@ -179,17 +175,16 @@ def classify(
         gamma_beta=jumps[n_alpha:],
         gamma_0=jumps[grad_norm <= grad_tol],
         gamma_star=jumps[grad_norm > grad_tol],
-        walls=_vertical_walls(sol, level_tol, wall_min_steps),
+        walls=_vertical_walls(sol, level_tol),
         grad_norm_stack=gn,
         level_tol=level_tol,
         grad_tol=grad_tol,
-        wall_min_steps=wall_min_steps,
     )
 
 
-def _vertical_walls(sol, level_tol, wall_min_steps) -> np.ndarray:
+def _vertical_walls(sol, level_tol) -> np.ndarray:
     """Faces with opposite relay states and both values strictly in the band,
-    persisting for at least ``wall_min_steps`` consecutive snapshots.
+    persisting for at least ``WALL_MIN_STEPS`` consecutive snapshots.
 
     Returns the ``FreeBoundaryAtlas.walls`` rows ``(axis, first, last, i0,
     ...)``, one per face and maximal run of such snapshots that is long
@@ -220,7 +215,7 @@ def _vertical_walls(sol, level_tol, wall_min_steps) -> np.ndarray:
         active &= ub < hi
         *face, k = np.nonzero(np.diff(padded, axis=-1))
         first, last = k[0::2], k[1::2] - 1
-        keep = last - first + 1 >= wall_min_steps
+        keep = last - first + 1 >= WALL_MIN_STEPS
         rows.append(np.column_stack([
             np.full(np.count_nonzero(keep), axis), first[keep], last[keep],
             *(f[0::2][keep] for f in face),

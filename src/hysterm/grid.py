@@ -26,6 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import CFLError
 from .relay import Thresholds
 
 _SLACK = 1e-12
@@ -124,6 +125,19 @@ class Grid:
         the nearest spatial boundary."""
         near = np.asarray(idx).reshape(-1, self.dim) * self.dx
         return np.minimum(near, np.asarray(self.extent) - near).min(axis=1)
+
+
+def cfl_limit(g: Grid) -> float:
+    """Largest stable dt of the explicit heat stencil (safety factor 1)."""
+    return min(g.dx) ** 2 / (2.0 * g.dim)
+
+
+def check_cfl(g: Grid, dt: float, cfl_safety: float) -> None:
+    """Raises CFLError unless ``dt <= cfl_safety * cfl_limit(g)``."""
+    bound = cfl_safety * cfl_limit(g)
+    if dt > bound:
+        raise CFLError(f"CFL violated: dt={dt}, need <= "
+                       f"cfl_safety*dx_min^2/(2*dim) = {bound:.6g}")
 
 
 def spread_indices(first: int, last: int, count: int) -> np.ndarray:
@@ -234,6 +248,20 @@ def gradient(f: np.ndarray, g: Grid) -> np.ndarray:
     return out
 
 
+def gradient_norm_sq(f: np.ndarray, g: Grid) -> np.ndarray:
+    """``|Df|**2`` in an array of ``f``'s shape: each axis's ``_first_diff``
+    squared and added in axis order, with one scratch array of that shape.
+    Equal bit for bit to ``(gradient(f, g)**2).sum(axis=0)``."""
+    f = _check_field(f, g)
+    lead = f.ndim - g.dim
+    out = _first_diff(f, lead, g.dx[0], np.empty_like(f))
+    np.square(out, out=out)
+    for axis in range(1, g.dim):
+        d = _first_diff(f, lead + axis, g.dx[axis], np.empty_like(f))
+        out += np.square(d, out=d)
+    return out
+
+
 def hessian(f: np.ndarray, g: Grid) -> np.ndarray:
     """Discrete Hessian, shape ``(dim, dim) + f.shape``; symmetric.
 
@@ -272,8 +300,11 @@ class SpaceTimeSolution:
         self.times = np.asarray(self.times, dtype=float)
         if self.times.ndim != 1 or self.times.size < 1:
             raise ValueError("times must be a non-empty 1d array")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        ok = np.isfinite(self.times) & np.append(True, np.diff(self.times) > 0)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(f"snapshot {k} at t={float(self.times[k])!r} is not "
+                             f"finite or not after the previous snapshot")
         if self.u.shape != (self.times.size,) + self.grid.shape:
             raise ValueError("u snapshot stack does not match times/grid")
         if self.h.shape != self.u.shape:

@@ -92,15 +92,6 @@ def bundled_config(name: str, **overrides) -> ScenarioConfig:
     return config_from_dict(data)
 
 
-def build_grid(cfg: ScenarioConfig) -> Grid:
-    return Grid(
-        extent=cfg.extent,
-        nx=cfg.nx,
-        bc_kind=cfg.bc["kind"],
-        bc_value=float(cfg.bc.get("value", 0.0)),
-    )
-
-
 def initial_data(cfg: ScenarioConfig, g: Grid):
     """Returns (u0 field, h_hint field) for the configured preset."""
     p = cfg.preset
@@ -126,11 +117,9 @@ def initial_data(cfg: ScenarioConfig, g: Grid):
         d2 = sum((x - c) ** 2 for x, c in zip(xs, center))
         u0 = float(p["level"]) + float(p["curvature"]) * d2
         hint = np.full(g.shape, int(p["h0"]), dtype=np.int8)
-    elif kind == "two_phase_wall":
+    else:  # two_phase_wall, the last kind config.PRESET_KINDS admits
         u0 = np.full(g.shape, float(p["u0"]))
         wall = float(p["wall_position"])
         x0 = xs[0]
         hint = np.where(x0 < wall, -1, 1).astype(np.int8)
-    else:  # pragma: no cover - schema already rejects this
-        raise ConfigError(f"unknown preset {kind!r}")
     return u0, hint

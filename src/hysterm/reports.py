@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, config_from_dict
+from .config import ScenarioConfig, build_grid, config_from_dict
 from .errors import DataIntegrityError
-from .free_boundary import FreeBoundaryAtlas, classify, separation_check
+from .free_boundary import (WALL_MIN_STEPS, FreeBoundaryAtlas, classify,
+                            separation_check)
 from .grid import SpaceTimeSolution
-from .presets import build_grid
 from .relay import Thresholds
 
 MANIFEST_NAME = "manifest.json"
@@ -220,8 +220,6 @@ def load_run(run_dir) -> tuple:
             (u.size != us[k].size or h.size != us[k].size, f"holds {u.size} u and "
              f"{h.size} h values, grid {g.shape} needs {us[k].size}"),
             (t_h != t, f"has u at t={t!r} and h at t={t_h!r}"),
-            (not (np.isfinite(t) and (k == 0 or t > times[k - 1])),
-             f"at t={t!r} is not finite or not after the previous snapshot"),
             (not np.isfinite(u).all(), "holds a u value that is not finite"),
             (not (np.abs(h) == 1).all(), "holds an h value other than -1 or +1"),
         ):
@@ -230,8 +228,11 @@ def load_run(run_dir) -> tuple:
         times[k] = t
         us[k] = u.reshape(g.shape)
         hs[k] = h.reshape(g.shape)
-    sol = SpaceTimeSolution(g, Thresholds(cfg.alpha, cfg.beta), times, us, hs,
-                            float(manifest["sup_bound_M"]))
+    try:
+        sol = SpaceTimeSolution(g, Thresholds(cfg.alpha, cfg.beta), times, us,
+                                hs, float(manifest["sup_bound_M"]))
+    except ValueError as exc:
+        raise DataIntegrityError(f"{run_dir}: {exc}") from None
     return sol, cfg
 
 
@@ -340,7 +341,7 @@ def _summary(sol, cfg, atlas, samples, phi_tables, signs, profile) -> dict:
         "tolerances": {
             "level_tol": atlas.level_tol,
             "grad_tol": atlas.grad_tol,
-            "wall_min_steps": atlas.wall_min_steps,
+            "wall_min_steps": WALL_MIN_STEPS,
         },
         "separation": separation_check(sol, level_tol=atlas.level_tol),
         "sup_bound_M": sol.sup_bound_M,

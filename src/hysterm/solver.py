@@ -10,7 +10,7 @@ buffers once and builds the ufunc calls of one Euler step once, over fixed
 views (``_step_ops``): ``2*u`` shared by every axis's
 ``grid._second_diff_ops``, then the update.  A Dirichlet step updates the
 flat range of the nodes strictly inside, so it reads no scratch entry the
-step did not write, and re-pins the faces with one strided write per axis.
+step did not write, and re-pins the faces that ``_pin_ops`` names.
 The ``max``/``min`` pair taken after each step gives ``sup_bound_M``,
 catches NaN (numpy's max propagates it) and gates the relay: a state turns
 +1 only where ``u >= beta`` and -1 only where it is +1 and ``u <= alpha``,
@@ -30,29 +30,20 @@ import math
 
 import numpy as np
 
-from .config import ScenarioConfig
-from .errors import CFLError, HystermError
-from .grid import BC_DIRICHLET, Grid, SpaceTimeSolution, _second_diff_ops
-from .presets import build_grid, initial_data
+from .config import ScenarioConfig, build_grid
+from .errors import HystermError
+from .grid import (BC_DIRICHLET, Grid, SpaceTimeSolution, _second_diff_ops,
+                   check_cfl)
+from .presets import initial_data
 from .relay import PLUS, Thresholds, field_init, field_update, relay_rule
-
-
-def cfl_limit(g: Grid) -> float:
-    """Largest stable dt for the explicit heat stencil (safety factor 1)."""
-    return min(g.dx) ** 2 / (2.0 * g.dim)
-
-
-def _check_cfl(g: Grid, dt: float, cfl_safety: float) -> None:
-    if dt > cfl_safety * cfl_limit(g):
-        raise CFLError(
-            f"CFL violated: dt={dt}, need <= {cfl_safety * cfl_limit(g):.6g}"
-        )
 
 
 def _pin_ops(u: np.ndarray, g: Grid) -> list:
     """Calls that write the Dirichlet value on every face of ``u``, one
-    strided write per axis (``bc_value * 1.0`` is exact); none under
-    Neumann."""
+    strided write per axis in axis order (``bc_value * 1.0`` is exact);
+    none under Neumann.  The ``_step_ops`` update never writes the faces of
+    axis 0, so its list holds only the other axes' pins (``[1:]``); ``run``
+    pins axis 0 once before its loop, ``step`` after the list (``[:1]``)."""
     if g.bc_kind != BC_DIRICHLET:
         return []
     return [(np.multiply, g.bc_value, 1.0,
@@ -68,7 +59,8 @@ def _run_ops(ops: list) -> None:
 def _step_ops(u, hf, lap, work, g: Grid, dt: float) -> list:
     """The ufunc calls ``(ufunc, a, b, out)`` of ``u <- u + dt *
     (laplacian(u) - hf)`` in place, over fixed views of C-contiguous arrays;
-    ``work`` holds ``2.0*u`` for both stencils, then the y stencil."""
+    ``work`` holds ``2.0*u`` for both stencils, then the y stencil; see
+    ``_pin_ops`` for the faces it pins."""
     ops = [(np.multiply, u, 2.0, work)]
     for axis, out in enumerate((lap, work)[: g.dim]):
         ops += _second_diff_ops(u, axis, g.dx[axis], g, out, work)
@@ -80,7 +72,7 @@ def _step_ops(u, hf, lap, work, g: Grid, dt: float) -> list:
     if g.dim == 2:
         ops.append((np.add, L, W, L))
     ops += [(np.subtract, L, H, W), (np.multiply, W, dt, W), (np.add, U, W, U)]
-    return ops + _pin_ops(u, g)
+    return ops + _pin_ops(u, g)[1:]
 
 
 def _extremes(u: np.ndarray) -> tuple:
@@ -102,10 +94,11 @@ def step(
     freeze_h: bool = False,
 ):
     """One explicit Euler step; returns the new (u, h) pair."""
-    _check_cfl(g, dt, cfl_safety)
+    check_cfl(g, dt, cfl_safety)
     u_new = np.array(u, dtype=float, order="C")
     _run_ops(_step_ops(u_new, np.array(h, dtype=float, order="C"),
                        np.empty(g.shape), np.empty(g.shape), g, dt))
+    _run_ops(_pin_ops(u_new, g)[:1])
     _extremes(u_new)
     h_new = h if freeze_h else field_update(h, u_new, th)
     return u_new, h_new
@@ -120,7 +113,7 @@ def run(cfg: ScenarioConfig) -> SpaceTimeSolution:
     """
     g = build_grid(cfg)
     dt = cfg.dt
-    _check_cfl(g, dt, cfg.cfl_safety)
+    check_cfl(g, dt, cfg.cfl_safety)
     th = Thresholds(cfg.alpha, cfg.beta)
     u0, hint = initial_data(cfg, g)
     _run_ops(_pin_ops(u0, g))

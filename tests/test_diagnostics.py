@@ -72,7 +72,6 @@ def make_atlas(sol, gamma_0=(), gamma_star=(), walls=()):
         grad_norm_stack=grad_norm_stack(sol),
         level_tol=1e-6,
         grad_tol=0.05,
-        wall_min_steps=3,
     )
 
 

@@ -1,6 +1,7 @@
 """Free-boundary extraction: jump events, walls, separation, serialization."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import wall_points
 from hysterm import diagnostics as dg
+from hysterm import free_boundary as fb
 from hysterm.config import config_from_dict
 from hysterm.free_boundary import (
     classify,
@@ -134,7 +136,7 @@ class TestVerticalWalls:
         sol = SpaceTimeSolution(
             grid=g, thresholds=Thresholds(0, 1), times=times, u=u, h=h
         )
-        at = classify(sol, level_tol=1e-3, wall_min_steps=3)
+        at = classify(sol, level_tol=1e-3)
         assert len(at.walls) == 0 and at.gamma_v_count == 0
 
     def test_persistent_interface_is_a_wall(self):
@@ -147,7 +149,7 @@ class TestVerticalWalls:
         sol = SpaceTimeSolution(
             grid=g, thresholds=Thresholds(0, 1), times=times, u=u, h=h
         )
-        at = classify(sol, level_tol=1e-3, wall_min_steps=3)
+        at = classify(sol, level_tol=1e-3)
         assert at.walls.tolist() == [[0, 0, K - 1, 4]]  # one face, all slices
         assert at.gamma_v_count == 2 * K  # both endpoints of the face
         assert set(wall_points(at)[1][:, 0].tolist()) == {4, 5}
@@ -163,7 +165,7 @@ class TestVerticalWalls:
         sol = SpaceTimeSolution(
             grid=g, thresholds=Thresholds(0, 1), times=times, u=u, h=h
         )
-        at = classify(sol, level_tol=1e-3, wall_min_steps=3)
+        at = classify(sol, level_tol=1e-3)
         assert at.walls.tolist() == [[0, 0, K - 1, 4], [0, 0, K - 1, 5]]
         assert at.gamma_v_count == 4 * K
         ts, idx = wall_points(at)
@@ -383,8 +385,10 @@ class TestWallRuns:
     def test_runs_expand_to_reference_walls(self, sol, wall_min_steps):
         """The face runs expand to exactly the per-snapshot endpoint
         multiset, the count is its length, and the segments equal the
-        reference runs of those points."""
-        at = classify(sol, level_tol=0.05, wall_min_steps=wall_min_steps)
+        reference runs of those points, for persistence windows around
+        ``WALL_MIN_STEPS``."""
+        with mock.patch.object(fb, "WALL_MIN_STEPS", wall_min_steps):
+            at = classify(sol, level_tol=0.05)
         ref_t, ref_idx = reference_vertical_walls(sol, 0.05, wall_min_steps)
         t, idx = wall_points(at)
 
@@ -422,6 +426,19 @@ class TestAnalysisMemory:
     def test_classify(self, plateau_sol):
         # the |Du| stack the atlas keeps is one of the 1.5
         assert peak_stacks(plateau_sol, classify, plateau_sol) < 1.5
+
+    def test_grad_norm_stack_owns_its_memory(self):
+        """In 2D the atlas keeps |Du| alone, not a view into a buffer that
+        also holds the second gradient component."""
+        sol = run(config_from_dict({
+            "name": "own", "dim": 2, "extent": [1.0, 1.0], "nx": [11, 11],
+            "dt": 1e-3, "T": 0.02, "alpha": 0.2, "beta": 0.7,
+            "bc": {"kind": "dirichlet", "value": 0.0},
+            "preset": {"kind": "sine", "amplitude": 1.0, "modes": 1, "h0": -1},
+        }))
+        gn = classify(sol).grad_norm_stack
+        assert gn.shape == sol.u.shape
+        assert gn.base is None or gn.base.nbytes == gn.nbytes
 
     def test_separation_check(self, plateau_sol, plateau_atlas):
         assert peak_stacks(plateau_sol, separation_check, plateau_sol,

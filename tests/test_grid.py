@@ -18,6 +18,7 @@ from hysterm.grid import (
     boundary_distance,
     cylinder_slices,
     gradient,
+    gradient_norm_sq,
     hessian,
     laplacian,
     parabolic_distance,
@@ -69,6 +70,14 @@ class TestGridBasics:
             Grid(extent=(-1.0,), nx=(5,))
         with pytest.raises(ValueError):
             Grid(extent=(1.0, 1.0, 1.0), nx=(5, 5, 5))
+
+    @pytest.mark.parametrize("times, bad", [
+        ([0.0, 0.1, 0.1], 2), ([0.1, 0.0, 0.2], 1), ([0.0, np.nan, 0.2], 1),
+        ([np.nan, 0.1], 0), ([0.0, 0.1, np.inf], 2),
+    ])
+    def test_solution_times_finite_and_increasing(self, times, bad):
+        with pytest.raises(ValueError, match=f"snapshot {bad} at t="):
+            make_sol(Grid(extent=(1.0,), nx=(5,)), times)
 
     def test_boundary_gap(self):
         g = Grid(extent=(1.0,), nx=(11,))
@@ -171,6 +180,7 @@ class TestGradientExact:
         lead = f.ndim - g.dim
         want = np.stack([np.gradient(f, d, axis=lead + a) for a, d in enumerate(g.dx)])
         assert (gradient(f, g) == want).all()
+        assert (gradient_norm_sq(f, g) == (want**2).sum(axis=0)).all()
         if g.dim == 2:
             cross = np.gradient(np.gradient(f, g.dx[0], axis=lead), g.dx[1],
                                 axis=lead + 1)

@@ -132,6 +132,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"nx": [2]}, "nx must be >= 3"),
+            ({"extent": [0.0]}, "extent must be positive"),
+            ({"dim": 3, "nx": [5, 5, 5], "extent": [1.0, 1.0, 1.0]},
+             "dim must be 1 or 2"),
+            ({"bc": {"kind": "robin"}}, "robin"),
+            ({"alpha": 1.0}, "alpha >= beta"),
+        ],
+        ids=["nx_2", "zero_extent", "dim_3", "robin_bc", "alpha_equals_beta"],
+    )
+    def test_grid_and_thresholds_checks_exit_2(self, tmp_path, capsys, overrides,
+                                               match):
+        """Checked by the Grid and Thresholds the config builds, reported as
+        config errors."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_dict(output_dir=str(tmp_path / "run"),
+                                             **overrides)))
+        with pytest.raises(ConfigError, match=match):
+            load_config(p)
+        assert main(["run", str(p)]) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_band_presets_validated(self):
         with pytest.raises(ConfigError, match="two_phase_wall"):
             config_from_dict(
@@ -481,6 +506,12 @@ class TestCli:
                           ("h_000003.csv", "0.002", None)], False,
                          "not after the previous snapshot",
                          id="times_not_increasing"),
+            pytest.param([("u_000003.csv", "nan", None),
+                          ("h_000003.csv", "nan", None)], False,
+                         "snapshot 3", id="time_nan"),
+            pytest.param([("u_000500.csv", "inf", None),
+                          ("h_000500.csv", "inf", None)], False,
+                         "not after the previous snapshot", id="last_time_inf"),
             pytest.param([("h_000003.csv", "0.0031", None)], False,
                          "h_000003.csv", id="h_time_differs"),
             pytest.param([("u_000003.csv", None, "0.25")], True, "u_000003.csv",
@@ -1093,6 +1124,21 @@ def test_phi_csv_2d_holds_plain_numbers(tmp_path):
         for field in row:
             for part in field.split(";"):
                 float(part)
+
+
+def test_cli_import_leaves_lazy_modules_unloaded():
+    """``setup_s`` compiles every module ``import hysterm.cli`` loads; the
+    diagnostics and the process pool load only when a command needs them."""
+    script = """
+import sys
+import hysterm.cli
+print(sorted(m for m in ("hysterm.diagnostics", "concurrent.futures", "logging")
+             if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(hysterm.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_and_analyze_leave_numpy_ma_unimported(tmp_path):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hysterm.config import config_from_dict
+from hysterm.config import build_grid, config_from_dict
 from hysterm.errors import CFLError, ConfigError, HystermError
-from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, laplacian
-from hysterm.presets import build_grid, bundled_config, initial_data
+from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, cfl_limit, laplacian
+from hysterm.presets import bundled_config, initial_data
 from hysterm.relay import Thresholds, field_init, field_update
-from hysterm.solver import cfl_limit, run, step
+from hysterm.solver import run, step
 
 from conftest import fourier_heat_oracle, frozen_heat_config
 
@@ -360,8 +360,9 @@ class TestFusedKernel:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_dirichlet_step_reads_only_what_it_wrote(self, dim):
         """With NaN-filled scratch buffers, a Dirichlet step without its
-        face pins leaves the field finite; with them it is the unfused
-        expression."""
+        face pins leaves the field finite and the faces of the first axis,
+        which ``run`` pins only once, untouched; with the pins of the step
+        and of ``_pin_ops`` it is the unfused expression."""
         import hysterm.solver as solver
 
         g = Grid(extent=(2.0, 1.0)[:dim], nx=(9, 6)[:dim],
@@ -372,11 +373,14 @@ class TestFusedKernel:
         expected = u + 0.008 * (laplacian(u, g) - hf)
         for axis in range(dim):
             np.moveaxis(expected, axis, 0)[[0, -1]] = 0.3
+        faces = u[[0, -1]]
         ops = solver._step_ops(u, hf, np.full(g.shape, np.nan),
                                np.full(g.shape, np.nan), g, 0.008)
-        solver._run_ops(ops[:-dim])
+        pins = len(ops) - (dim - 1)
+        solver._run_ops(ops[:pins])
         assert np.isfinite(u).all()
-        solver._run_ops(ops[-dim:])
+        assert np.array_equal(u[[0, -1]], faces)
+        solver._run_ops(ops[pins:] + solver._pin_ops(u, g))
         assert np.array_equal(u, expected)
 
 
