@@ -231,8 +231,10 @@ def measure_oscillator_period(alpha: float, beta: float, dt: float):
     The run spans five half-periods, rounded up to a whole number of steps.
     """
     span = 5.0 * (beta - alpha)
-    # a dt <= 0 is left for the config validation to report
-    T = span if dt <= 0 or whole_steps(span, dt) else math.ceil(span / dt) * dt
+    # a dt that is not finite and positive is left for the config validation
+    T = span
+    if 0 < dt < math.inf and not whole_steps(span, dt):
+        T = math.ceil(span / dt) * dt
     cfg = config_from_dict(
         {
             "name": "selftest_oscillator",

@@ -7,10 +7,12 @@ files, taken from the bytes as they are written.  u snapshots hold shortest
 round-trip decimals and h snapshots the integers -1/1 (older ``-1.0``/``1.0``
 files load too), so reloading is loss-free and reruns are byte-identical.
 
-Analysis reconstructs the solution from disk (verifying digests), runs the
-free-boundary classification and the diagnostics, and writes the jump
-events (``atlas.csv``), the wall face runs (``walls.csv``), one CSV per
-diagnostic and ``summary.json`` with the empirical constants.
+``load_run`` is the one reader: it reads each file the manifest lists once,
+checks its digest and parses the snapshots from those bytes.  Analysis
+reconstructs the solution through it, runs the free-boundary
+classification and the diagnostics, and writes the jump events
+(``atlas.csv``), the wall face runs (``walls.csv``), one CSV per diagnostic
+and ``summary.json`` with the empirical constants.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -86,11 +89,6 @@ def _parse_snapshot(data: bytes, name) -> tuple:
     return t, arr[0] if len(arr) == 1 else arr
 
 
-def read_snapshot_csv(path) -> tuple:
-    """Returns (t, array); the array is 1D or 2D per the row layout."""
-    return _parse_snapshot(Path(path).read_bytes(), path)
-
-
 # ---------------------------------------------------------------------------
 # PGM
 
@@ -154,15 +152,6 @@ def _read_listed(run_dir: Path, files: dict, name: str) -> bytes:
     return data
 
 
-def verify_manifest(run_dir) -> dict:
-    """Check every listed digest; raises on the first mismatch."""
-    run_dir = Path(run_dir)
-    manifest = load_manifest(run_dir)
-    for name in manifest["files"]:
-        _read_listed(run_dir, manifest["files"], name)
-    return manifest
-
-
 # ---------------------------------------------------------------------------
 # run persistence
 
@@ -219,7 +208,9 @@ def load_run(run_dir) -> tuple:
         for bad, what in (
             (u.size != us[k].size or h.size != us[k].size, f"holds {u.size} u and "
              f"{h.size} h values, grid {g.shape} needs {us[k].size}"),
-            (t_h != t, f"has u at t={t!r} and h at t={t_h!r}"),
+            # a NaN pair is left for SpaceTimeSolution to name
+            (t_h != t and not (math.isnan(t) and math.isnan(t_h)),
+             f"has u at t={t!r} and h at t={t_h!r}"),
             (not np.isfinite(u).all(), "holds a u value that is not finite"),
             (not (np.abs(h) == 1).all(), "holds an h value other than -1 or +1"),
         ):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from hysterm.config import build_grid, config_from_dict
 from hysterm.errors import CFLError, ConfigError, HystermError
-from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, cfl_limit, laplacian
+from hysterm.grid import BC_DIRICHLET, Grid, cfl_limit, laplacian
 from hysterm.presets import bundled_config, initial_data
-from hysterm.relay import Thresholds, field_init, field_update
-from hysterm.solver import run, step
+from hysterm.relay import Thresholds
+from hysterm.solver import run
 
 from conftest import fourier_heat_oracle, frozen_heat_config
 
@@ -40,36 +40,38 @@ def homogeneous_config(**overrides):
     return config_from_dict(data)
 
 
+def one_step(u0, h0, **overrides):
+    """The last (u, h) of a one-step (``T = dt``) homogeneous run."""
+    sol = run(homogeneous_config(
+        T=1e-3, preset={"kind": "homogeneous", "u0": u0, "h0": h0}, **overrides
+    ))
+    return sol.u[-1], sol.h[-1]
+
+
 class TestStep:
     def setup_method(self):
         self.g = Grid(extent=(1.0,), nx=(11,))
 
     def test_ode_up_phase(self):
-        u = np.full(self.g.shape, 0.5)
-        h = np.full(self.g.shape, -1, dtype=np.int8)
-        u2, h2 = step(u, h, self.g, 1e-3, TH)
+        u2, h2 = one_step(0.5, -1)
         assert np.allclose(u2, 0.501, atol=1e-15)
         assert (h2 == -1).all()
 
     def test_ode_down_phase(self):
-        u = np.full(self.g.shape, 0.5)
-        h = np.full(self.g.shape, 1, dtype=np.int8)
-        u2, h2 = step(u, h, self.g, 1e-3, TH)
+        u2, h2 = one_step(0.5, 1)
         assert np.allclose(u2, 0.499, atol=1e-15)
         assert (h2 == 1).all()
 
     def test_up_jump_fires_at_threshold(self):
-        u = np.full(self.g.shape, 1.0 - 1e-9)
-        h = np.full(self.g.shape, -1, dtype=np.int8)
-        u2, h2 = step(u, h, self.g, 1e-3, TH)
+        u2, h2 = one_step(1.0 - 1e-9, -1)
         assert (u2 >= 1.0).all()
         assert (h2 == 1).all()
 
     def test_cfl_refusal(self):
-        u = np.zeros(self.g.shape)
-        h = np.full(self.g.shape, -1, dtype=np.int8)
+        cfg = homogeneous_config(T=1e-3, cfl_safety=0.9)
+        cfg.dt = cfg.T = self.g.dx[0] ** 2
         with pytest.raises(CFLError):
-            step(u, h, self.g, self.g.dx[0] ** 2, TH, cfl_safety=0.9)
+            run(cfg)
 
     def test_cfl_limit_value(self):
         assert cfl_limit(self.g) == pytest.approx(0.1**2 / 2.0)
@@ -148,13 +150,14 @@ class TestFrozenHeat:
         assert errs[0] / errs[1] >= 3.0
 
     def test_max_principle_surrogate(self):
-        g = Grid(extent=(1.0,), nx=(41,), bc_kind=BC_DIRICHLET, bc_value=0.0)
-        rng = np.random.default_rng(5)
-        u = rng.uniform(0.0, 1.0, size=g.shape)
-        u[0] = u[-1] = 0.0
-        h = np.full(g.shape, 1, dtype=np.int8)
+        """One step from a sine of 13 half-waves on 41 nodes."""
         dt = 2e-4
-        u2, _ = step(u, h, g, dt, Thresholds(-5, 5), freeze_h=True)
+        cfg = homogeneous_config(
+            nx=[41], dt=dt, T=dt, alpha=-5.0, beta=5.0, freeze_h=True,
+            bc={"kind": "dirichlet", "value": 0.0},
+            preset={"kind": "sine", "amplitude": 1.0, "modes": 13, "h0": 1},
+        )
+        u, u2 = run(cfg).u
         assert u2.max() <= max(u.max(), 0.0) + dt + 1e-12
         assert u2.min() >= min(u.min(), 0.0) - dt - 1e-12
 
@@ -199,12 +202,10 @@ class TestInvariants:
             homogeneous_config(dt=0.01)
 
     def test_nan_rejected(self):
-        g = Grid(extent=(1.0,), nx=(5,))
-        u = np.zeros(g.shape)
-        u[2] = np.nan
-        h = np.full(g.shape, -1, dtype=np.int8)
+        cfg = homogeneous_config(nx=[5], T=1e-3)
+        cfg.preset["u0"] = float("nan")
         with pytest.raises(Exception, match="NaN"):
-            step(u, h, g, 1e-3, TH)
+            run(cfg)
 
     def test_snapshot_stride(self):
         cfg = homogeneous_config(T=1.0, snapshot_stride=10)
@@ -217,9 +218,15 @@ class TestInvariants:
         assert 1.0 <= sol.sup_bound_M <= 1.0 + 1e-3 + 1e-12
 
 
+def relay(h, u, th):
+    """The relay written out pointwise: +1 where ``u >= beta``, -1 where
+    ``u <= alpha``, ``h`` in between."""
+    return np.where(u >= th.beta, 1, np.where(u <= th.alpha, -1, h)).astype(np.int8)
+
+
 def reference_run(cfg):
     """The unfused loop: ``u + dt*(laplacian(u) - h)``, the Dirichlet values
-    pinned, then ``field_update``; ``sup_bound_M`` from ``np.abs``."""
+    pinned, then ``relay``; ``sup_bound_M`` from ``np.abs``."""
     g = build_grid(cfg)
     th = Thresholds(cfg.alpha, cfg.beta)
     u, hint = initial_data(cfg, g)
@@ -233,13 +240,13 @@ def reference_run(cfg):
                     f[tuple(idx)] = g.bc_value
 
     pin(u)
-    h = field_init(u, hint, th)
+    h = relay(hint, u, th)
     n_steps = int(round(cfg.T / cfg.dt))
     us, hs, sup_m = [u], [h], float(np.abs(u).max())
     for k in range(1, n_steps + 1):
         u = u + cfg.dt * (laplacian(u, g) - h)
         pin(u)
-        h = h if cfg.freeze_h else field_update(h, u, th)
+        h = h if cfg.freeze_h else relay(h, u, th)
         sup_m = max(sup_m, float(np.abs(u).max()))
         if k % cfg.snapshot_stride == 0 or k == n_steps:
             us.append(u)
@@ -302,20 +309,29 @@ class TestFusedKernel:
             assert (sol.h[1:] != sol.h[:-1]).any()
 
     def test_step_equals_unfused_expression(self):
-        g = Grid(extent=(2.0, 1.0), nx=(9, 6), bc_kind=BC_DIRICHLET, bc_value=0.3)
-        rng = np.random.default_rng(3)
-        u = rng.uniform(0.0, 1.0, size=g.shape)
-        h = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.shape)
-        u2, h2 = step(u, h, g, 0.008, TH)
-        expected = u + 0.008 * (laplacian(u, g) - h)
+        """One step of a 2D Dirichlet plateau whose relay starts mixed and
+        flips in places."""
+        cfg = small_config(2, {"kind": "dirichlet", "value": 0.3}, T=0.008, preset={
+            "kind": "plateau", "level": 0.29, "curvature": 0.04, "h0": -1})
+        sol = run(cfg)
+        (u, u2), (h, h2) = sol.u, sol.h
+        assert (h == 1).any() and (h == -1).any() and (h2 != h).any()
+        expected = u + 0.008 * (laplacian(u, sol.grid) - h)
         expected[0, :] = expected[-1, :] = expected[:, 0] = expected[:, -1] = 0.3
         assert np.array_equal(u2, expected)
-        assert np.array_equal(h2, field_update(h, expected, TH))
+        assert np.array_equal(h2, relay(h, expected, sol.thresholds))
 
     def test_config_changed_after_validation_checked_for_cfl(self):
         cfg = homogeneous_config(T=0.01)
         cfg.dt = 0.01
         with pytest.raises(CFLError, match="CFL violated"):
+            run(cfg)
+
+    def test_config_changed_after_validation_checked_for_hint(self):
+        """``field_init`` is the one hint check a run makes."""
+        cfg = homogeneous_config(T=0.01)
+        cfg.preset["h0"] = 3
+        with pytest.raises(ValueError, match="h_hint values must be -1 or"):
             run(cfg)
 
     def test_nan_caught_in_run(self, monkeypatch):
@@ -451,27 +467,27 @@ class TestRelaySkip:
         assert_bitwise_reference(run(cfg), reference_run(cfg))
 
 
-fields = st.lists(
-    st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])),
-    min_size=5, max_size=12,
-)
-
-
 class TestSolverProperties:
-    @given(u0=fields, signs=st.lists(st.sampled_from([-1, 1]), min_size=12,
-                                     max_size=12),
-           bc=st.sampled_from([BC_NEUMANN, BC_DIRICHLET]))
+    @given(nx=st.integers(5, 12), amplitude=st.floats(-2.0, 2.0),
+           modes=st.integers(1, 12), h0=st.sampled_from([-1, 1]),
+           bc=st.sampled_from([None, 0.0, 0.5, 1.0]))
     @settings(max_examples=60, deadline=None)
-    def test_h_flips_only_where_u_reaches_a_threshold(self, u0, signs, bc):
-        g = Grid(extent=(1.0,), nx=(len(u0),), bc_kind=bc, bc_value=0.5)
-        u = np.array(u0)
-        h = field_init(u, np.array(signs[: len(u0)], dtype=np.int8), TH)
-        dt = 0.4 * g.dx[0] ** 2
-        for _ in range(8):
-            u, h_new = step(u, h, g, dt, TH)
+    def test_h_flips_only_where_u_reaches_a_threshold(
+        self, nx, amplitude, modes, h0, bc
+    ):
+        """Eight stored steps from a sine with up to 12 half-waves on 5 to
+        12 nodes, rough enough for relays to flip in about half the
+        examples; Dirichlet faces may sit exactly on a threshold."""
+        dt = 0.4 / (nx - 1) ** 2
+        sol = run(homogeneous_config(
+            nx=[nx], dt=dt, T=8 * dt,
+            bc={"kind": "neumann"} if bc is None else {"kind": "dirichlet", "value": bc},
+            preset={"kind": "sine", "amplitude": amplitude, "modes": modes, "h0": h0},
+        ))
+        assert sol.num_snapshots == 9
+        for h, h_new, u in zip(sol.h[:-1], sol.h[1:], sol.u[1:]):
             up, down = (h_new > h), (h_new < h)
             assert (u[up] >= TH.beta).all() and (u[down] <= TH.alpha).all()
-            h = h_new
 
     @given(u0=st.floats(0.05, 0.95), wall=st.floats(0.1, 0.9),
            ny=st.integers(3, 6), steps=st.integers(1, 30))
