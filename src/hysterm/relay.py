@@ -1,10 +1,5 @@
 """Scalar relay hysteresis operator and its pointwise lift to grid fields.
 
-``relay_rule`` is the one pointwise lift: the solver applies it to its
-boolean states on the steps where one can change, and ``field_init`` builds
-the initial ±1 field with it.  ``relay_init``, ``relay_step`` and
-``relay_trace`` are the scalar definitions it is tested against.
-
 The relay maps a continuous input trajectory to {-1, +1}: it switches to +1
 only when the input reaches the upper threshold, to -1 only at the lower
 threshold, and otherwise keeps its previous value.  Threshold comparisons
@@ -104,15 +99,28 @@ def relay_rule(plus: np.ndarray, u_new: np.ndarray, th: Thresholds,
     return plus
 
 
-def field_init(u0: np.ndarray, h_hint, th: Thresholds) -> np.ndarray:
-    """Vectorized ``relay_init`` over a spatial field, as a ±1 int8 field.
+def field_update(
+    prev: np.ndarray, u_new: np.ndarray, th: Thresholds
+) -> np.ndarray:
+    """Pointwise ``relay_step`` over a ±1 int8 field; no spatial coupling."""
+    prev = np.asarray(prev)
+    u_new = np.asarray(u_new)
+    if prev.shape != u_new.shape:
+        raise ValueError(
+            f"shape mismatch: relay field {prev.shape} vs input {u_new.shape}"
+        )
+    plus = relay_rule(prev == PLUS, u_new, th, np.empty(prev.shape, dtype=bool))
+    return np.where(plus, PLUS, MINUS).astype(np.int8)
 
-    ``h_hint`` may be a scalar or an array matching ``u0``; every hint must
-    be -1 or +1.  For a valid hint ``relay_init`` is ``relay_step`` from the
-    hint, so this is ``relay_rule`` from it.
+
+def field_init(u0: np.ndarray, h_hint, th: Thresholds) -> np.ndarray:
+    """Vectorized ``relay_init`` over a spatial field.
+
+    ``h_hint`` may be a scalar or an array matching ``u0``.  For a valid
+    hint ``relay_init`` is ``relay_step`` from the hint, so this is
+    ``field_update`` from it.
     """
     hint = np.broadcast_to(np.asarray(h_hint, dtype=np.int8), u0.shape)
     if not np.isin(hint, (MINUS, PLUS)).all():
         raise ValueError("h_hint values must be -1 or +1")
-    plus = relay_rule(hint == PLUS, u0, th, np.empty(u0.shape, dtype=bool))
-    return np.where(plus, PLUS, MINUS).astype(np.int8)
+    return field_update(hint, u0, th)

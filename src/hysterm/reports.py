@@ -7,12 +7,10 @@ files, taken from the bytes as they are written.  u snapshots hold shortest
 round-trip decimals and h snapshots the integers -1/1 (older ``-1.0``/``1.0``
 files load too), so reloading is loss-free and reruns are byte-identical.
 
-``load_run`` is the one reader: it reads each file the manifest lists once,
-checks its digest and parses the snapshots from those bytes.  Analysis
-reconstructs the solution through it, runs the free-boundary
-classification and the diagnostics, and writes the jump events
-(``atlas.csv``), the wall face runs (``walls.csv``), one CSV per diagnostic
-and ``summary.json`` with the empirical constants.
+Analysis reconstructs the solution from disk (verifying digests), runs the
+free-boundary classification and the diagnostics, and writes the jump
+events (``atlas.csv``), the wall face runs (``walls.csv``), one CSV per
+diagnostic and ``summary.json`` with the empirical constants.
 """
 
 from __future__ import annotations
@@ -89,6 +87,11 @@ def _parse_snapshot(data: bytes, name) -> tuple:
     return t, arr[0] if len(arr) == 1 else arr
 
 
+def read_snapshot_csv(path) -> tuple:
+    """Returns (t, array); the array is 1D or 2D per the row layout."""
+    return _parse_snapshot(Path(path).read_bytes(), path)
+
+
 # ---------------------------------------------------------------------------
 # PGM
 
@@ -150,6 +153,15 @@ def _read_listed(run_dir: Path, files: dict, name: str) -> bytes:
     if hashlib.sha256(data).hexdigest() != files[name]:
         raise DataIntegrityError(f"digest mismatch for {name}")
     return data
+
+
+def verify_manifest(run_dir) -> dict:
+    """Check every listed digest; raises on the first mismatch."""
+    run_dir = Path(run_dir)
+    manifest = load_manifest(run_dir)
+    for name in manifest["files"]:
+        _read_listed(run_dir, manifest["files"], name)
+    return manifest
 
 
 # ---------------------------------------------------------------------------

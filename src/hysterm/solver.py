@@ -5,17 +5,18 @@ reads the new field.  A +1 relay drives the field down, a -1 relay drives
 it up, so the homogeneous dynamics is a sawtooth oscillator between the
 thresholds with period 2*(beta - alpha).
 
-``run`` is the one solution operator.  It checks the CFL bound once,
-allocates its buffers once and builds the ufunc calls of one Euler step
-once, over fixed views (``_step_ops``): ``2*u`` shared by every axis's
+``run`` integrates in place.  It checks the CFL bound once, allocates its
+buffers once and builds the ufunc calls of one Euler step once, over fixed
+views (``_step_ops``): ``2*u`` shared by every axis's
 ``grid._second_diff_ops``, then the update.  A Dirichlet step updates the
 flat range of the nodes strictly inside, so it reads no scratch entry the
-step did not write.  The ``max``/``min`` pair taken after each step gives
-``sup_bound_M``, catches NaN (numpy's max propagates it) and gates the
-relay: a state turns +1 only where ``u >= beta`` and -1 only where it is
-+1 and ``u <= alpha``, so while ``max u < beta`` and either no state is +1
-or ``min u > alpha``, ``relay.relay_rule`` would change nothing and is
-skipped.  The operations and their order are those of
+step did not write, and re-pins the faces that ``_pin_ops`` names.
+The ``max``/``min`` pair taken after each step gives ``sup_bound_M``,
+catches NaN (numpy's max propagates it) and gates the relay: a state turns
++1 only where ``u >= beta`` and -1 only where it is +1 and ``u <= alpha``,
+so while ``max u < beta`` and either no state is +1 or ``min u > alpha``,
+``relay.relay_rule`` would change nothing and is skipped.  ``step`` runs
+the same calls once.  The operations and their order are those of
 ``u + dt*(laplacian(u) - h)``, so the results are bitwise those of that
 expression.
 
@@ -34,13 +35,15 @@ from .errors import HystermError
 from .grid import (BC_DIRICHLET, Grid, SpaceTimeSolution, _second_diff_ops,
                    check_cfl)
 from .presets import initial_data
-from .relay import PLUS, Thresholds, field_init, relay_rule
+from .relay import PLUS, Thresholds, field_init, field_update, relay_rule
 
 
 def _pin_ops(u: np.ndarray, g: Grid) -> list:
     """Calls that write the Dirichlet value on every face of ``u``, one
     strided write per axis in axis order (``bc_value * 1.0`` is exact);
-    none under Neumann."""
+    none under Neumann.  The ``_step_ops`` update never writes the faces of
+    axis 0, so its list holds only the other axes' pins (``[1:]``); ``run``
+    pins axis 0 once before its loop, ``step`` after the list (``[:1]``)."""
     if g.bc_kind != BC_DIRICHLET:
         return []
     return [(np.multiply, g.bc_value, 1.0,
@@ -56,9 +59,8 @@ def _run_ops(ops: list) -> None:
 def _step_ops(u, hf, lap, work, g: Grid, dt: float) -> list:
     """The ufunc calls ``(ufunc, a, b, out)`` of ``u <- u + dt *
     (laplacian(u) - hf)`` in place, over fixed views of C-contiguous arrays;
-    ``work`` holds ``2.0*u`` for both stencils, then the y stencil.  The
-    update never writes the faces of axis 0, which ``run`` pins once before
-    its loop, so the list re-pins only the other axes' faces."""
+    ``work`` holds ``2.0*u`` for both stencils, then the y stencil; see
+    ``_pin_ops`` for the faces it pins."""
     ops = [(np.multiply, u, 2.0, work)]
     for axis, out in enumerate((lap, work)[: g.dim]):
         ops += _second_diff_ops(u, axis, g.dx[axis], g, out, work)
@@ -80,6 +82,26 @@ def _extremes(u: np.ndarray) -> tuple:
     if math.isnan(hi):
         raise HystermError("NaN detected in the field update")
     return float(hi), float(lo)
+
+
+def step(
+    u: np.ndarray,
+    h: np.ndarray,
+    g: Grid,
+    dt: float,
+    th: Thresholds,
+    cfl_safety: float = 1.0,
+    freeze_h: bool = False,
+):
+    """One explicit Euler step; returns the new (u, h) pair."""
+    check_cfl(g, dt, cfl_safety)
+    u_new = np.array(u, dtype=float, order="C")
+    _run_ops(_step_ops(u_new, np.array(h, dtype=float, order="C"),
+                       np.empty(g.shape), np.empty(g.shape), g, dt))
+    _run_ops(_pin_ops(u_new, g)[:1])
+    _extremes(u_new)
+    h_new = h if freeze_h else field_update(h, u_new, th)
+    return u_new, h_new
 
 
 def run(cfg: ScenarioConfig) -> SpaceTimeSolution:

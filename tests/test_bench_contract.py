@@ -18,17 +18,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # wrapped by the tracer but no longer looked up there: the solver calls the
-# stencil kernel directly, classify takes |Du|**2 from
-# grid.gradient_norm_sq, run is the one solver step and relay_rule the one
-# relay update, and load_run reads and checks every file itself
-ABSENT = {
-    ("hysterm.solver", "laplacian"),
-    ("hysterm.free_boundary", "gradient"),
-    ("hysterm.solver", "step"),
-    ("hysterm.solver", "field_update"),
-    ("hysterm.reports", "verify_manifest"),
-    ("hysterm.reports", "read_snapshot_csv"),
-}
+# stencil kernel directly, and classify takes |Du|**2 from
+# grid.gradient_norm_sq
+ABSENT = {("hysterm.solver", "laplacian"), ("hysterm.free_boundary", "gradient")}
 
 
 def load(path: Path, name: str):
@@ -72,9 +64,17 @@ def test_checker_requires_every_listed_metric():
         ]
 
 
-# Patch points a run and an analysis do not reach: the absent ones, and
-# _sweep_child, which only a sweep's worker processes call.
-UNREACHED = {("hysterm.cli", "_sweep_child"), *ABSENT}
+# Patch points a run and an analysis do not reach: the solver steps through
+# private kernels, load_run reads through _read_listed, and only a sweep
+# calls _sweep_child.
+UNREACHED = {
+    ("hysterm.solver", "step"),
+    ("hysterm.solver", "field_update"),
+    ("hysterm.reports", "verify_manifest"),
+    ("hysterm.reports", "read_snapshot_csv"),
+    ("hysterm.cli", "_sweep_child"),
+    *ABSENT,
+}
 
 # Installs the tracer, marks every patch point on top of it, then runs and
 # analyzes the config given as argv[2] with the CLI; prints the points

@@ -18,20 +18,19 @@ from hypothesis import strategies as st
 
 import hysterm.cli
 from hysterm.cli import main, measure_oscillator_period
-from hysterm.config import build_grid, config_from_dict, load_config
+from hysterm.config import config_from_dict, load_config
 from hysterm.errors import CFLError, ConfigError, DataIntegrityError
 from hysterm.reports import (
     _parse_snapshot,
     analyze_run,
-    load_manifest,
     load_run,
+    read_snapshot_csv,
     save_config,
     save_run,
+    verify_manifest,
     write_pgm,
     write_snapshot_csv,
 )
-from hysterm.grid import SpaceTimeSolution
-from hysterm.relay import Thresholds
 from hysterm.solver import run
 
 
@@ -242,30 +241,21 @@ class TestSnapshotCsv:
             _parse_snapshot(b"# t=0.0\n", "s")
         assert old_parse_snapshot(b"# t=0.0\n", "s")[1].size == 0
 
-    @staticmethod
-    def round_trip(tmp_path, f, t):
-        """Saves ``f`` as snapshot 1, at time ``t``, of a run on its grid and
-        loads the run back; returns the loaded (t, snapshot)."""
-        cfg = config_from_dict(minimal_dict(
-            dim=f.ndim, extent=[1.0] * f.ndim, nx=list(f.shape)))
-        sol = SpaceTimeSolution(
-            build_grid(cfg), Thresholds(cfg.alpha, cfg.beta), [0.0, t],
-            np.stack([np.zeros(f.shape), f]), np.ones((2,) + f.shape, dtype=np.int8),
-        )
-        loaded, _ = load_run(save_run(sol, cfg, tmp_path / "run"))
-        return loaded.times[1], loaded.u[1]
-
     def test_round_trip_1d(self, tmp_path):
         rng = np.random.default_rng(0)
         f = rng.normal(size=17)
-        t, g = self.round_trip(tmp_path, f, 0.125)
+        p = tmp_path / "s.csv"
+        write_snapshot_csv(p, f, t=0.125)
+        t, g = read_snapshot_csv(p)
         assert t == 0.125
         assert np.array_equal(f, g)
 
     def test_round_trip_2d(self, tmp_path):
         rng = np.random.default_rng(1)
         f = rng.normal(size=(5, 7))
-        t, g = self.round_trip(tmp_path, f, 1e-9)
+        p = tmp_path / "s2.csv"
+        write_snapshot_csv(p, f, t=1e-9)
+        t, g = read_snapshot_csv(p)
         assert t == 1e-9
         assert np.array_equal(f, g)
 
@@ -322,8 +312,7 @@ class TestRunPersistence:
         assert len(list(rd.glob("h_*.csv"))) == n
         assert (rd / "u_final.pgm").exists()
         assert (rd / "h_final.pgm").exists()
-        load_run(rd)  # reads and digest-checks every listed file
-        manifest = load_manifest(rd)
+        manifest = verify_manifest(rd)
         assert len(manifest["files"]) == 2 * n + 3  # + config + 2 pgm
 
     def test_load_round_trip(self, run_dir):
@@ -341,7 +330,7 @@ class TestRunPersistence:
         raw[10] ^= 0x01
         target.write_bytes(bytes(raw))
         with pytest.raises(DataIntegrityError, match="digest mismatch"):
-            load_run(rd)
+            verify_manifest(rd)
 
     def test_manifest_lists_only_written_files(self, tmp_path):
         """A shorter rerun into an analysed run directory removes the old
@@ -352,8 +341,7 @@ class TestRunPersistence:
         analyze_run(save_run(run(cfg), cfg, rd))
         cfg = config_from_dict(minimal_dict(T=0.005))
         save_run(run(cfg), cfg, rd)
-        load_run(rd)
-        manifest = load_manifest(rd)
+        manifest = verify_manifest(rd)
         assert manifest["num_snapshots"] == 6
         assert not (rd / "u_000010.csv").exists() and (rd / "atlas.csv").exists()
         for kind in "uh":

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hysterm.relay import (
     Thresholds,
     field_init,
+    field_update,
     relay_init,
     relay_rule,
     relay_step,
@@ -119,13 +120,13 @@ class TestHysteresisProperties:
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=100, deadline=None)
-    def test_field_init_commutes_with_permutation(self, u, seed):
+    def test_field_update_commutes_with_permutation(self, u, seed):
         rng = np.random.default_rng(seed)
         u = np.asarray(u)
         prev = rng.choice([-1, 1], size=u.shape).astype(np.int8)
         perm = rng.permutation(u.size)
-        direct = field_init(u, prev, TH)[perm]
-        permuted = field_init(u[perm], prev[perm], TH)
+        direct = field_update(prev, u, TH)[perm]
+        permuted = field_update(prev[perm], u[perm], TH)
         assert (direct == permuted).all()
 
     @given(
@@ -134,8 +135,7 @@ class TestHysteresisProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_relay_rule_is_the_fold_of_relay_step(self, rows, data):
-        """Boolean rule applied to a sequence of fields == per-point fold,
-        and so is ``field_init`` from the previous states."""
+        """Boolean rule applied to a sequence of fields == per-point fold."""
         n = data.draw(st.integers(1, 12))
         value = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([TH.alpha, TH.beta]))
         fields = np.array(data.draw(st.lists(
@@ -147,33 +147,33 @@ class TestHysteresisProperties:
         folds = [relay_trace(fields[:, i], h0[i], TH) for i in range(n)]
         for k, u in enumerate(fields):
             relay_rule(plus, u, TH, scratch)
-            h = field_init(u, h, TH)
+            h = field_update(h, u, TH)
             expected = [fold[k] for fold in folds]
             assert np.where(plus, 1, -1).tolist() == expected
             assert h.tolist() == expected
 
 
 class TestFieldOps:
-    def test_field_init_all_jump_up(self):
+    def test_field_update_all_jump_up(self):
         prev = np.full(8, -1, dtype=np.int8)
-        out = field_init(np.full(8, 1.0), prev, TH)
+        out = field_update(prev, np.full(8, 1.0), TH)
         assert (out == 1).all()
 
-    def test_field_init_memory(self):
+    def test_field_update_memory(self):
         prev = np.array([-1, 1, -1, 1], dtype=np.int8)
-        out = field_init(np.full(4, 0.5), prev, TH)
+        out = field_update(prev, np.full(4, 0.5), TH)
         assert (out == prev).all()
 
-    def test_field_init_single_flip(self):
+    def test_field_update_single_flip(self):
         prev = np.full(10, 1, dtype=np.int8)
         u = np.full(10, 0.5)
         u[3] = -0.2
-        out = field_init(u, prev, TH)
+        out = field_update(prev, u, TH)
         assert (out == 1).sum() == 9 and out[3] == -1
 
-    def test_field_init_shape_mismatch(self):
-        with pytest.raises(ValueError, match="broadcast"):
-            field_init(np.ones(4), np.ones(3, dtype=np.int8), TH)
+    def test_field_update_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            field_update(np.ones(3, dtype=np.int8), np.ones(4), TH)
 
     def test_field_init_mixed(self):
         u0 = np.array([-0.5, 0.5, 1.5])

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from hysterm.config import build_grid, config_from_dict
 from hysterm.errors import CFLError, ConfigError, HystermError
-from hysterm.grid import BC_DIRICHLET, Grid, cfl_limit, laplacian
+from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, cfl_limit, laplacian
 from hysterm.presets import bundled_config, initial_data
-from hysterm.relay import Thresholds
-from hysterm.solver import run
+from hysterm.relay import Thresholds, field_init, field_update
+from hysterm.solver import run, step
 
 from conftest import fourier_heat_oracle, frozen_heat_config
 
@@ -40,38 +40,36 @@ def homogeneous_config(**overrides):
     return config_from_dict(data)
 
 
-def one_step(u0, h0, **overrides):
-    """The last (u, h) of a one-step (``T = dt``) homogeneous run."""
-    sol = run(homogeneous_config(
-        T=1e-3, preset={"kind": "homogeneous", "u0": u0, "h0": h0}, **overrides
-    ))
-    return sol.u[-1], sol.h[-1]
-
-
 class TestStep:
     def setup_method(self):
         self.g = Grid(extent=(1.0,), nx=(11,))
 
     def test_ode_up_phase(self):
-        u2, h2 = one_step(0.5, -1)
+        u = np.full(self.g.shape, 0.5)
+        h = np.full(self.g.shape, -1, dtype=np.int8)
+        u2, h2 = step(u, h, self.g, 1e-3, TH)
         assert np.allclose(u2, 0.501, atol=1e-15)
         assert (h2 == -1).all()
 
     def test_ode_down_phase(self):
-        u2, h2 = one_step(0.5, 1)
+        u = np.full(self.g.shape, 0.5)
+        h = np.full(self.g.shape, 1, dtype=np.int8)
+        u2, h2 = step(u, h, self.g, 1e-3, TH)
         assert np.allclose(u2, 0.499, atol=1e-15)
         assert (h2 == 1).all()
 
     def test_up_jump_fires_at_threshold(self):
-        u2, h2 = one_step(1.0 - 1e-9, -1)
+        u = np.full(self.g.shape, 1.0 - 1e-9)
+        h = np.full(self.g.shape, -1, dtype=np.int8)
+        u2, h2 = step(u, h, self.g, 1e-3, TH)
         assert (u2 >= 1.0).all()
         assert (h2 == 1).all()
 
     def test_cfl_refusal(self):
-        cfg = homogeneous_config(T=1e-3, cfl_safety=0.9)
-        cfg.dt = cfg.T = self.g.dx[0] ** 2
+        u = np.zeros(self.g.shape)
+        h = np.full(self.g.shape, -1, dtype=np.int8)
         with pytest.raises(CFLError):
-            run(cfg)
+            step(u, h, self.g, self.g.dx[0] ** 2, TH, cfl_safety=0.9)
 
     def test_cfl_limit_value(self):
         assert cfl_limit(self.g) == pytest.approx(0.1**2 / 2.0)
@@ -150,14 +148,13 @@ class TestFrozenHeat:
         assert errs[0] / errs[1] >= 3.0
 
     def test_max_principle_surrogate(self):
-        """One step from a sine of 13 half-waves on 41 nodes."""
+        g = Grid(extent=(1.0,), nx=(41,), bc_kind=BC_DIRICHLET, bc_value=0.0)
+        rng = np.random.default_rng(5)
+        u = rng.uniform(0.0, 1.0, size=g.shape)
+        u[0] = u[-1] = 0.0
+        h = np.full(g.shape, 1, dtype=np.int8)
         dt = 2e-4
-        cfg = homogeneous_config(
-            nx=[41], dt=dt, T=dt, alpha=-5.0, beta=5.0, freeze_h=True,
-            bc={"kind": "dirichlet", "value": 0.0},
-            preset={"kind": "sine", "amplitude": 1.0, "modes": 13, "h0": 1},
-        )
-        u, u2 = run(cfg).u
+        u2, _ = step(u, h, g, dt, Thresholds(-5, 5), freeze_h=True)
         assert u2.max() <= max(u.max(), 0.0) + dt + 1e-12
         assert u2.min() >= min(u.min(), 0.0) - dt - 1e-12
 
@@ -202,10 +199,12 @@ class TestInvariants:
             homogeneous_config(dt=0.01)
 
     def test_nan_rejected(self):
-        cfg = homogeneous_config(nx=[5], T=1e-3)
-        cfg.preset["u0"] = float("nan")
+        g = Grid(extent=(1.0,), nx=(5,))
+        u = np.zeros(g.shape)
+        u[2] = np.nan
+        h = np.full(g.shape, -1, dtype=np.int8)
         with pytest.raises(Exception, match="NaN"):
-            run(cfg)
+            step(u, h, g, 1e-3, TH)
 
     def test_snapshot_stride(self):
         cfg = homogeneous_config(T=1.0, snapshot_stride=10)
@@ -309,17 +308,15 @@ class TestFusedKernel:
             assert (sol.h[1:] != sol.h[:-1]).any()
 
     def test_step_equals_unfused_expression(self):
-        """One step of a 2D Dirichlet plateau whose relay starts mixed and
-        flips in places."""
-        cfg = small_config(2, {"kind": "dirichlet", "value": 0.3}, T=0.008, preset={
-            "kind": "plateau", "level": 0.29, "curvature": 0.04, "h0": -1})
-        sol = run(cfg)
-        (u, u2), (h, h2) = sol.u, sol.h
-        assert (h == 1).any() and (h == -1).any() and (h2 != h).any()
-        expected = u + 0.008 * (laplacian(u, sol.grid) - h)
+        g = Grid(extent=(2.0, 1.0), nx=(9, 6), bc_kind=BC_DIRICHLET, bc_value=0.3)
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.0, 1.0, size=g.shape)
+        h = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.shape)
+        u2, h2 = step(u, h, g, 0.008, TH)
+        expected = u + 0.008 * (laplacian(u, g) - h)
         expected[0, :] = expected[-1, :] = expected[:, 0] = expected[:, -1] = 0.3
         assert np.array_equal(u2, expected)
-        assert np.array_equal(h2, relay(h, expected, sol.thresholds))
+        assert np.array_equal(h2, field_update(h, expected, TH))
 
     def test_config_changed_after_validation_checked_for_cfl(self):
         cfg = homogeneous_config(T=0.01)
@@ -467,27 +464,27 @@ class TestRelaySkip:
         assert_bitwise_reference(run(cfg), reference_run(cfg))
 
 
+fields = st.lists(
+    st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])),
+    min_size=5, max_size=12,
+)
+
+
 class TestSolverProperties:
-    @given(nx=st.integers(5, 12), amplitude=st.floats(-2.0, 2.0),
-           modes=st.integers(1, 12), h0=st.sampled_from([-1, 1]),
-           bc=st.sampled_from([None, 0.0, 0.5, 1.0]))
+    @given(u0=fields, signs=st.lists(st.sampled_from([-1, 1]), min_size=12,
+                                     max_size=12),
+           bc=st.sampled_from([BC_NEUMANN, BC_DIRICHLET]))
     @settings(max_examples=60, deadline=None)
-    def test_h_flips_only_where_u_reaches_a_threshold(
-        self, nx, amplitude, modes, h0, bc
-    ):
-        """Eight stored steps from a sine with up to 12 half-waves on 5 to
-        12 nodes, rough enough for relays to flip in about half the
-        examples; Dirichlet faces may sit exactly on a threshold."""
-        dt = 0.4 / (nx - 1) ** 2
-        sol = run(homogeneous_config(
-            nx=[nx], dt=dt, T=8 * dt,
-            bc={"kind": "neumann"} if bc is None else {"kind": "dirichlet", "value": bc},
-            preset={"kind": "sine", "amplitude": amplitude, "modes": modes, "h0": h0},
-        ))
-        assert sol.num_snapshots == 9
-        for h, h_new, u in zip(sol.h[:-1], sol.h[1:], sol.u[1:]):
+    def test_h_flips_only_where_u_reaches_a_threshold(self, u0, signs, bc):
+        g = Grid(extent=(1.0,), nx=(len(u0),), bc_kind=bc, bc_value=0.5)
+        u = np.array(u0)
+        h = field_init(u, np.array(signs[: len(u0)], dtype=np.int8), TH)
+        dt = 0.4 * g.dx[0] ** 2
+        for _ in range(8):
+            u, h_new = step(u, h, g, dt, TH)
             up, down = (h_new > h), (h_new < h)
             assert (u[up] >= TH.beta).all() and (u[down] <= TH.alpha).all()
+            h = h_new
 
     @given(u0=st.floats(0.05, 0.95), wall=st.floats(0.1, 0.9),
            ny=st.integers(3, 6), steps=st.integers(1, 30))
