@@ -2,8 +2,9 @@
 
 Subcommands: ``run``, ``analyze``, ``sweep``, ``selftest-oscillator``.
 Exit codes: 0 success, 2 config error, 3 data integrity error,
-4 diagnostic assertion failure.  ``sweep`` runs its members in worker
-processes; ``HYSTERM_THREADS`` caps their number (default: hardware count).
+4 diagnostic assertion failure.  ``sweep`` runs each member in a process
+of its own; ``HYSTERM_THREADS``, an integer >= 1, caps how many run at once
+(default: hardware count).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_from_dict, load_config, whole_steps
+from .config import _check_numbers, config_from_dict, load_config, whole_steps
 from .errors import ConfigError, DiagnosticError, HystermError
 from .reports import analyze_run, save_run, write_sweep_csv
 from .solver import run as solver_run
@@ -130,69 +131,52 @@ def _failed_row(value, error: str) -> dict:
     }
 
 
-def _sweep_member(base: dict, pointer: str, value, out_root: Path, tag: str):
-    """One sweep member in a worker process; a failure becomes its row."""
+def _sweep_member(conn, base: dict, pointer: str, value, out_root: Path, tag: str):
+    """One sweep member in a process of its own: sends its row through ``conn``."""
     try:
-        return _sweep_child(base, pointer, value, out_root, tag)
+        row = _sweep_child(base, pointer, value, out_root, tag)
     except Exception as exc:  # noqa: BLE001 - per-row failure recording
-        return _failed_row(value, f"raised {type(exc).__name__}: {exc}")
+        row = _failed_row(value, f"raised {type(exc).__name__}: {exc}")
+    conn.send(row)
 
 
 def _run_members(jobs: list, workers: int) -> list:
     """The rows of the sweep members, in job order.
 
-    A worker process that dies breaks its pool, and every member in flight
-    is lost with it, so members run in rounds, each in a fresh pool of
-    ``workers`` processes.  A round first runs the members stranded by the
-    last break one at a time, then the members not tried yet, at most
-    ``workers`` at a time.  A member alone in flight at a break has had its
-    own worker die and fails; several become the next round's stranded
-    members.  After two rounds in a row, the first round not counted, in
-    which no member returns, the members left fail as lost with the pool.
+    Each member runs once, in a process of its own, at most ``workers`` at a
+    time, started in job order, and sends its row through a one-way pipe.  A
+    process that ends without sending a row fails its member alone, with
+    the process's exit code; nothing is run again.
     """
-    # imported here: the process pool machinery is slow to import and only
-    # the sweep needs it
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
+    # imported here: only the sweep needs it
+    import multiprocessing
+    from multiprocessing.connection import wait
 
     rows = [None] * len(jobs)
-    # stacks, popped from the end, so that members run in job order
-    stranded, untried = [], list(range(len(jobs)))[::-1]
-    idle_rounds, first_round = 0, True
-    while (stranded or untried) and idle_rounds < 2:
-        returned, running = 0, {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pending = iter(enumerate(jobs))
+    running = {}  # receiving end -> (job index, process)
+    while True:
+        for i, job in pending:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_sweep_member, args=(send, *job))
+            proc.start()
+            # the child holds the only sending end: its exit closes the pipe
+            send.close()
+            running[recv] = (i, proc)
+            if len(running) == workers:
+                break
+        if not running:
+            return rows
+        for recv in wait(list(running)):
+            i, proc = running.pop(recv)
             try:
-                for limit, queue in ((1, stranded), (workers, untried)):
-                    while queue or running:
-                        while queue and len(running) < limit:
-                            future = pool.submit(_sweep_member, *jobs[queue[-1]])
-                            running[future] = queue.pop()
-                        done, _ = wait(running, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            rows[running[future]] = future.result()
-                            del running[future]
-                            returned += 1
-            except BrokenProcessPool:
-                lost = []
-                for future, i in running.items():
-                    try:  # a member may have returned before the break
-                        rows[i] = future.result()
-                        returned += 1
-                    except BrokenProcessPool:
-                        lost.append(i)
-                if len(lost) == 1:
-                    rows[lost[0]] = _failed_row(jobs[lost[0]][2], "BrokenProcessPool: "
-                                                "its worker process died while it ran")
-                else:
-                    stranded.extend(sorted(lost, reverse=True))
-        if not first_round:
-            idle_rounds = 0 if returned else idle_rounds + 1
-        first_round = False
-    for i in stranded + untried:
-        rows[i] = _failed_row(jobs[i][2], "BrokenProcessPool: lost with a broken "
-                              "worker pool and not run again")
-    return rows
+                row = recv.recv()
+            except EOFError:  # the process ended without sending its row
+                row = None
+            recv.close()
+            proc.join()
+            rows[i] = row or _failed_row(jobs[i][2],
+                                         f"died with exit code {proc.exitcode}")
 
 
 def cmd_sweep(args) -> int:
@@ -207,16 +191,18 @@ def cmd_sweep(args) -> int:
     try:
         workers = int(threads) if threads is not None else os.cpu_count() or 1
     except ValueError:
+        workers = 0  # refused below, with the counts below 1
+    if workers < 1:
         raise ConfigError(
-            f"HYSTERM_THREADS must be an integer, got {threads!r}"
-        ) from None
+            f"HYSTERM_THREADS must be an integer >= 1, got {threads!r}"
+        )
     out_root = _default_run_dir(cfg).parent / f"{cfg.name}_sweep"
     out_root.mkdir(parents=True, exist_ok=True)
     base = cfg.to_dict()
 
     jobs = [(base, args.param, value, out_root, f"v{i:03d}")
             for i, value in enumerate(values)]
-    rows = _run_members(jobs, max(1, min(workers, len(values))))
+    rows = _run_members(jobs, workers)
 
     summary_path = out_root / "sweep_summary.csv"
     write_sweep_csv(rows, summary_path)
@@ -230,6 +216,8 @@ def measure_oscillator_period(alpha: float, beta: float, dt: float):
 
     The run spans five half-periods, rounded up to a whole number of steps.
     """
+    # checked before they form the span, so that the error names them, not T
+    _check_numbers({"alpha": alpha, "beta": beta})
     span = 5.0 * (beta - alpha)
     # a dt that is not finite and positive is left for the config validation
     T = span

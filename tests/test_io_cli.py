@@ -34,7 +34,7 @@ from hysterm.reports import (
 from hysterm.solver import run
 
 
-# a monkeypatched hysterm.cli._sweep_child reaches the sweep's worker
+# a monkeypatched hysterm.cli._sweep_child reaches the sweep's member
 # processes only when they are forked
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -567,8 +567,9 @@ class TestCli:
         assert main(["analyze", str(rd)]) == 3
         assert target.name in capsys.readouterr().err
 
-    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HYSTERM_THREADS", "abc")
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("HYSTERM_THREADS", threads)
         monkeypatch.chdir(tmp_path)
         p, _ = self.write_cfg(tmp_path, name="swt", output_dir=None)
         code = main(["sweep", str(p), "--param", "/preset/u0", "--values", "0.5"])
@@ -665,7 +666,7 @@ class TestCli:
         )
         assert ",ok," in lines[1]
         assert ",failed," in lines[2]
-        # the error tells a member that raised from one lost with the pool
+        # the error tells a member that raised from one whose process died
         assert "raised CFLError: " in lines[2]
 
     def test_sweep_no_values(self, tmp_path, capsys):
@@ -751,14 +752,18 @@ class TestCli:
         assert summaries[0].count(",ok,") == 2
 
     def dying_sweep(self, tmp_path, monkeypatch, name, values, dying, threads="2"):
-        """Rows of a sweep over /preset/u0 whose members with a value in
-        ``dying`` kill their worker process."""
+        """Run a sweep over /preset/u0 whose members with a value in
+        ``dying`` kill their process: each member's process starts once, and
+        only the dying members fail."""
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("HYSTERM_THREADS", threads)
         p, _ = self.write_cfg(tmp_path, name=name, output_dir=None, T=0.1)
         child = hysterm.cli._sweep_child
+        starts = tmp_path / "starts.txt"
 
         def dying_child(base, pointer, value, out_root, tag):
+            with starts.open("a") as fh:
+                fh.write(f"{tag}\n")
             if value in dying:
                 os._exit(1)
             return child(base, pointer, value, out_root, tag)
@@ -769,75 +774,60 @@ class TestCli:
         with (tmp_path / "runs" / f"{name}_sweep" / "sweep_summary.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["value"]) for r in rows] == values
-        return rows
+        assert sorted(starts.read_text().split()) == [
+            f"v{i:03d}" for i in range(len(values))]
+        for r in rows:
+            assert (r["status"], r["error"]) == (
+                ("failed", "died with exit code 1") if float(r["value"]) in dying
+                else ("ok", ""))
 
-    @fork_only
-    def test_sweep_survives_dead_worker(self, tmp_path, monkeypatch, capsys):
-        # 0.3 and 0.5 start side by side and 0.7 waits; the death can take
-        # 0.3 down too, and then both run again, one at a time
-        rows = self.dying_sweep(tmp_path, monkeypatch, "swx", [0.3, 0.5, 0.7], {0.5})
-        assert "3 rows, 1 failed" in capsys.readouterr().out
-        assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
-        assert rows[1]["error"] == (
-            "BrokenProcessPool: its worker process died while it ran"
-        )
-        # the members that ran again are those of a direct run
-        for tag, u0 in (("v000", 0.3), ("v002", 0.7)):
-            data = minimal_dict(name=f"swx_{tag}", output_dir=None, T=0.1)
+    def assert_members_match_direct(self, tmp_path, name, values):
+        """The sweep members of ``values`` hold the files of a direct run."""
+        for i, u0 in values.items():
+            tag = f"v{i:03d}"
+            data = minimal_dict(name=f"{name}_{tag}", output_dir=None, T=0.1)
             data["preset"] = dict(data["preset"], u0=u0)
             cfg = config_from_dict(data)
             direct = save_run(run(cfg), cfg, tmp_path / "direct" / tag)
             analyze_run(direct)
-            member = tmp_path / "runs" / "swx_sweep" / tag
+            member = tmp_path / "runs" / f"{name}_sweep" / tag
             assert sorted(p.name for p in member.iterdir()) == sorted(
                 p.name for p in direct.iterdir())
             for f in direct.iterdir():
                 assert (member / f.name).read_bytes() == f.read_bytes(), f"{tag}/{f.name}"
 
     @fork_only
+    def test_sweep_survives_dead_worker(self, tmp_path, monkeypatch, capsys):
+        # 0.3 and 0.5 start side by side and 0.7 starts when one ends; the
+        # death of 0.5's process fails 0.5 alone
+        self.dying_sweep(tmp_path, monkeypatch, "swx", [0.3, 0.5, 0.7], {0.5})
+        assert "3 rows, 1 failed" in capsys.readouterr().out
+        self.assert_members_match_direct(tmp_path, "swx", {0: 0.3, 2: 0.7})
+
+    @fork_only
     def test_sweep_dead_worker_one_worker(self, tmp_path, monkeypatch):
-        # a member alone in flight fails at once; the next round runs the rest
-        rows = self.dying_sweep(
+        # one member at a time: the death fails its member and the next runs
+        self.dying_sweep(
             tmp_path, monkeypatch, "sw1w", [0.3, 0.5, 0.7], {0.5}, threads="1")
-        assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
-        assert rows[1]["error"] == (
-            "BrokenProcessPool: its worker process died while it ran"
-        )
+        self.assert_members_match_direct(tmp_path, "sw1w", {0: 0.3, 2: 0.7})
 
     @fork_only
     def test_sweep_dead_worker_at_the_head(self, tmp_path, monkeypatch):
-        # the first member tried again dies: the round after it still runs
-        # the rest
-        rows = self.dying_sweep(
-            tmp_path, monkeypatch, "swh", [0.5, 0.3, 0.7, 0.4], {0.5})
-        assert [r["status"] for r in rows] == ["failed", "ok", "ok", "ok"]
+        # the first member dies: the rest still run
+        self.dying_sweep(tmp_path, monkeypatch, "swh", [0.5, 0.3, 0.7, 0.4], {0.5})
 
     @fork_only
-    def test_sweep_stops_after_two_idle_rounds(self, tmp_path, monkeypatch):
-        # two deaths in a row end the retries; the members not run again
-        # fail as lost, not as dead
-        rows = self.dying_sweep(
+    def test_sweep_members_after_deaths_still_run(self, tmp_path, monkeypatch):
+        # two deaths in a row, filling both slots, stop nothing
+        self.dying_sweep(
             tmp_path, monkeypatch, "sws2", [0.5, 0.6, 0.3, 0.7], {0.5, 0.6})
-        died = "BrokenProcessPool: its worker process died while it ran"
-        lost = "BrokenProcessPool: lost with a broken worker pool and not run again"
-        assert [r["error"] for r in rows] == [died, died, lost, lost]
+        self.assert_members_match_direct(tmp_path, "sws2", {2: 0.3, 3: 0.7})
 
     @fork_only
     def test_sweep_survives_pool_broken_while_submitting(self, tmp_path, monkeypatch):
-        # every worker dies: after the first round the retries run one
-        # member at a time and stop after two rounds in which none returns,
-        # so the long value list costs a few pools, not a process per value
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("HYSTERM_THREADS", "2")
-        p, _ = self.write_cfg(tmp_path, name="swb", output_dir=None)
-        monkeypatch.setattr(hysterm.cli, "_sweep_child", lambda *job: os._exit(1))
-        values = ",".join(str(i) for i in range(20000))
-        assert main(["sweep", str(p), "--param", "/preset/u0", "--values", values]) == 0
-        with (tmp_path / "runs" / "swb_sweep" / "sweep_summary.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 20000
-        assert all(r["error"].startswith("BrokenProcessPool: ") for r in rows)
-        assert sum("worker process died" in r["error"] for r in rows) <= 3
+        # every member dies: each fails alone, and none runs again
+        values = [i / 100 for i in range(40)]
+        self.dying_sweep(tmp_path, monkeypatch, "swb", values, set(values))
 
     def test_selftest_examples(self, capsys):
         period, expected = measure_oscillator_period(0.0, 1.0, 1e-3)
@@ -864,6 +854,17 @@ class TestCli:
         )
         assert code == 2
         assert "alpha >= beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha, beta, key", [
+        ("nan", "1", "alpha"), ("0", "inf", "beta"), ("-inf", "1", "alpha"),
+        ("0", "nan", "beta"),
+    ])
+    def test_selftest_non_finite_thresholds_exit_2(self, capsys, alpha, beta, key):
+        """A threshold that is not finite is named before it forms the span."""
+        code = main(["selftest-oscillator", f"--alpha={alpha}", f"--beta={beta}",
+                     "--dt", "1e-3"])
+        assert code == 2
+        assert f"{key} must be a finite number" in capsys.readouterr().err
 
     def test_selftest_nan_dt_exit_2(self, capsys):
         code = main(
@@ -1135,12 +1136,13 @@ def test_phi_csv_2d_holds_plain_numbers(tmp_path):
 
 def test_cli_import_leaves_lazy_modules_unloaded():
     """``setup_s`` compiles every module ``import hysterm.cli`` loads; the
-    diagnostics and the process pool load only when a command needs them."""
+    diagnostics and the process machinery load only when a command needs
+    them."""
     script = """
 import sys
 import hysterm.cli
-print(sorted(m for m in ("hysterm.diagnostics", "concurrent.futures", "logging")
-             if m in sys.modules))
+print(sorted(m for m in ("hysterm.diagnostics", "multiprocessing",
+                         "concurrent.futures", "logging") if m in sys.modules))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(hysterm.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
