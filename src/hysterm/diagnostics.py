@@ -14,6 +14,7 @@ tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .grid import (
     Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
+    _norm_sq,
     boundary_distance,
     cylinder_slices,
     gradient,
@@ -38,6 +40,8 @@ _SLACK = 1e-12
 
 #: Growth centres per analysis at most, evenly spread over the eligible ones.
 MAX_GROWTH_CENTERS = 32
+# snapshots per block when quadratic_growth takes |Du|**2 on a window
+_GROWTH_BLOCK = 64
 #: Profile samples before those on an event are dropped.
 PROFILE_SAMPLES = 256
 #: Dyadic distance bands of the profile below the distance cap.
@@ -365,28 +369,53 @@ def _cylinder(stack, t, mask, reduce) -> float:
     return float(reduce(stack[t[0]:t[-1] + 1][:, mask]))
 
 
+def _sup_grad(sol: SpaceTimeSolution, fulls: list) -> list:
+    """sup |Du| over each full cylinder ``(t, mask)`` of ``cylinder_slices``,
+    the first one holding all the others.
+
+    |Du|**2 is taken only on the window of the first cylinder, a block of
+    ``_GROWTH_BLOCK`` snapshots at a time: its snapshots, over the bounding
+    box of its ball widened by one node and clipped at the domain faces.
+    Every ball node's stencil neighbours then lie in the box, and where the
+    box meets a face the one-sided stencil is the grid's own, so each ball
+    node gets the full grid's value bit for bit.  sqrt is monotone and
+    correctly rounded, so the sqrt of the largest square is the largest |Du|.
+    """
+    _, ball = fulls[0]
+    box = tuple(
+        slice(max(int(i.min()) - 1, 0), int(i.max()) + 2) for i in np.nonzero(ball)
+    )
+    cyls = [(int(t[0]), int(t[-1]) + 1, mask[box]) for t, mask in fulls]
+    start, end, _ = cyls[0]
+    best = [0.0] * len(cyls)
+    for k in range(start, end, _GROWTH_BLOCK):
+        stop = min(k + _GROWTH_BLOCK, end)
+        gsq = _norm_sq(sol.u[k:stop][(slice(None), *box)], sol.grid.dx)
+        for j, (lo, hi, mask) in enumerate(cyls):
+            lo, hi = max(lo, k) - k, min(hi, stop) - k
+            if lo < hi:
+                best[j] = max(best[j], float(gsq[lo:hi].max(axis=0)[mask].max()))
+    return [math.sqrt(b) for b in best]
+
+
 def quadratic_growth(
     sol: SpaceTimeSolution, atlas: FreeBoundaryAtlas, radii: Sequence[float]
 ) -> list:
-    """Oscillation of u over lower and full cylinders per radius ladder."""
+    """Oscillation of u over lower and full cylinders, and sup |Du| over the
+    full ones, per radius of the ladder at each eligible centre."""
     radii = sorted((float(r) for r in radii), reverse=True)
     centers, _ = eligible_growth_centers(sol, atlas, radii[0])
-    gn = atlas.grad_norm_stack
     samples = []
     for z in centers:
-        osc_lower, osc_full, sup_grad = [], [], []
-        for r in radii:
-            osc_lower.append(_cylinder(sol.u, *cylinder_slices(sol, z, r), np.ptp))
-            full = cylinder_slices(sol, z, r, lower_only=False)
-            osc_full.append(_cylinder(sol.u, *full, np.ptp))
-            sup_grad.append(_cylinder(gn, *full, np.max))
+        fulls = [cylinder_slices(sol, z, r, lower_only=False) for r in radii]
         samples.append(
             GrowthSample(
                 center=z,
                 radii=list(radii),
-                osc_lower=osc_lower,
-                osc_full=osc_full,
-                sup_grad=sup_grad,
+                osc_lower=[_cylinder(sol.u, *cylinder_slices(sol, z, r), np.ptp)
+                           for r in radii],
+                osc_full=[_cylinder(sol.u, *full, np.ptp) for full in fulls],
+                sup_grad=_sup_grad(sol, fulls),
             )
         )
     return samples

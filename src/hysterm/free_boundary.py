@@ -63,7 +63,9 @@ class FreeBoundaryAtlas:
     idx[i])`` of kind ``kind[i]``, with the field value, gradient norm and
     backward time difference quotient there.  Rows hold the down-jumps
     (Gamma_alpha) in (t, C-order index) order, then the up-jumps
-    (Gamma_beta).  ``grad_norm_stack`` is |Du| per snapshot.
+    (Gamma_beta).  The atlas holds no stack of the solution's size:
+    ``grad_norm`` is |Du| at the events only, and the diagnostics take |Du|
+    on their own cylinders.
 
     ``walls`` holds Gamma_v as int64 rows ``(axis, first, last, i0, ...)``:
     the face between the points ``(i0, ...)`` and ``(i0, ...) + e_axis`` is
@@ -85,7 +87,6 @@ class FreeBoundaryAtlas:
     gamma_0: np.ndarray
     gamma_star: np.ndarray
     walls: np.ndarray
-    grad_norm_stack: np.ndarray
     level_tol: float
     grad_tol: float
     wall_segments: np.ndarray = field(init=False)
@@ -128,12 +129,6 @@ def default_grad_tol(sol: SpaceTimeSolution) -> float:
     return 5.0 * min(sol.grid.dx)
 
 
-def grad_norm_stack(sol: SpaceTimeSolution) -> np.ndarray:
-    """|Du| at every stored snapshot, in one array of the u stack's size."""
-    norm = gradient_norm_sq(sol.u, sol.grid)
-    return np.sqrt(norm, out=norm)
-
-
 def classify(
     sol: SpaceTimeSolution,
     level_tol: float | None = None,
@@ -159,8 +154,13 @@ def classify(
 
     at = (t_index, *idx.T)
     u = sol.u[at]
-    gn = grad_norm_stack(sol)
-    grad_norm = gn[at]
+    # |Du| only at the snapshots that hold a jump; slot[k] is snapshot k's
+    # place among them
+    has_jump = np.zeros(sol.num_snapshots, dtype=bool)
+    has_jump[t_index] = True
+    slot = np.cumsum(has_jump) - 1
+    gn_sq = gradient_norm_sq(sol.u[has_jump], sol.grid)
+    grad_norm = np.sqrt(gn_sq[(slot[t_index], *idx.T)])
     dt_u = (u - sol.u[(t_index - 1, *idx.T)]) / np.diff(sol.times)[t_index - 1]
 
     jumps = np.arange(k.size)
@@ -176,7 +176,6 @@ def classify(
         gamma_0=jumps[grad_norm <= grad_tol],
         gamma_star=jumps[grad_norm > grad_tol],
         walls=_vertical_walls(sol, level_tol),
-        grad_norm_stack=gn,
         level_tol=level_tol,
         grad_tol=grad_tol,
     )

@@ -252,12 +252,18 @@ def gradient_norm_sq(f: np.ndarray, g: Grid) -> np.ndarray:
     """``|Df|**2`` in an array of ``f``'s shape: each axis's ``_first_diff``
     squared and added in axis order, with one scratch array of that shape.
     Equal bit for bit to ``(gradient(f, g)**2).sum(axis=0)``."""
-    f = _check_field(f, g)
-    lead = f.ndim - g.dim
-    out = _first_diff(f, lead, g.dx[0], np.empty_like(f))
+    return _norm_sq(_check_field(f, g), g.dx)
+
+
+def _norm_sq(f: np.ndarray, dx: tuple) -> np.ndarray:
+    """``gradient_norm_sq`` over the trailing ``len(dx)`` axes of ``f``,
+    whatever their length, so ``f`` may be a box cut from a grid field: the
+    box's edges then take the one-sided stencil."""
+    lead = f.ndim - len(dx)
+    out = _first_diff(f, lead, dx[0], np.empty_like(f))
     np.square(out, out=out)
-    for axis in range(1, g.dim):
-        d = _first_diff(f, lead + axis, g.dx[axis], np.empty_like(f))
+    for axis in range(1, len(dx)):
+        d = _first_diff(f, lead + axis, dx[axis], np.empty_like(f))
         out += np.square(d, out=d)
     return out
 

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -45,7 +46,8 @@ def _json_bytes(obj) -> bytes:
 
 def _write(path, data: bytes) -> str:
     """Write ``data`` to ``path``; returns its sha256, taken from memory."""
-    Path(path).write_bytes(data)
+    with open(path, "wb") as fh:
+        fh.write(data)
     return hashlib.sha256(data).hexdigest()
 
 
@@ -147,7 +149,9 @@ def load_manifest(run_dir) -> dict:
 def _read_listed(run_dir: Path, files: dict, name: str) -> bytes:
     """One read of a file the manifest lists, checked against its digest."""
     try:
-        data = (run_dir / name).read_bytes()
+        # a string path, as in save_run: pathlib would intern the name
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise DataIntegrityError(f"missing file listed in manifest: {name}") from None
     if hashlib.sha256(data).hexdigest() != files[name]:
@@ -181,21 +185,30 @@ def save_run(sol: SpaceTimeSolution, cfg: ScenarioConfig, run_dir) -> Path:
         match = SNAPSHOT_NAME.fullmatch(path.name)
         if match and int(match[1]) >= sol.num_snapshots:
             path.unlink()
+    # written in name order, so that the manifest lists the files sorted
+    # as they come: config.json, h_*.csv, h_final.pgm, u_*.csv, u_final.pgm.
+    # Paths are joined as strings: pathlib interns every name it parses, and
+    # growing the interpreter's intern table by thousands of names costs
+    # more memory than the manifest.
     files = {CONFIG_NAME: save_config(cfg, run_dir / CONFIG_NAME)}
-    for k, t in enumerate(sol.times):
-        for kind, stack in (("u", sol.u), ("h", sol.h)):
+    for kind, stack in (("h", sol.h), ("u", sol.u)):
+        for k, t in enumerate(sol.times):
             name = f"{kind}_{k:06d}.csv"
-            files[name] = write_snapshot_csv(run_dir / name, stack[k], t)
-    files["u_final.pgm"] = write_pgm(run_dir / "u_final.pgm", sol.u[-1])
-    files["h_final.pgm"] = write_pgm(run_dir / "h_final.pgm", sol.h[-1])
+            files[name] = write_snapshot_csv(os.path.join(run_dir, name), stack[k], t)
+        name = f"{kind}_final.pgm"
+        files[name] = write_pgm(os.path.join(run_dir, name), stack[-1])
     manifest = {
         "version": __version__,
         "config": cfg.to_dict(),
-        "files": dict(sorted(files.items())),
+        "files": files,
         "sup_bound_M": sol.sup_bound_M,
         "num_snapshots": sol.num_snapshots,
     }
-    (run_dir / MANIFEST_NAME).write_bytes(_json_bytes(manifest))
+    # streamed, so that the text never exists whole; the same bytes as
+    # _json_bytes
+    with open(run_dir / MANIFEST_NAME, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
     return run_dir
 
 

@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hysterm.free_boundary import classify
+from hysterm.grid import (
+    BC_DIRICHLET,
+    BC_NEUMANN,
+    Grid,
+    SpaceTimeSolution,
+    cylinder_slices,
+    gradient_norm_sq,
+)
 from hysterm.presets import bundled_config
+from hysterm.relay import Thresholds
 from hysterm.solver import run
 
 
@@ -83,6 +93,52 @@ def reference_parabolic_distance(z, S, sol) -> float:
     lag = sol.times[k0] - sol.times[np.minimum(seg[:, 1], k0)]
     crit = np.maximum(np.sqrt(d2), np.sqrt(lag))
     return float(min(cap, crit.min()))
+
+
+def reference_grad_norm_stack(sol) -> np.ndarray:
+    """|Du| at every stored snapshot, in one array of the u stack's size: the
+    stack that ``classify`` built and the atlas kept for the diagnostics
+    before they took |Du| only at jump snapshots and on growth cylinders."""
+    norm = gradient_norm_sq(sol.u, sol.grid)
+    return np.sqrt(norm, out=norm)
+
+
+def reference_sup_grad(sol, z, radii, gn=None) -> list:
+    """sup |Du| over the full cylinder of each radius at ``z``, read from
+    the whole-run |Du| stack ``gn`` as ``quadratic_growth`` read it then."""
+    gn = reference_grad_norm_stack(sol) if gn is None else gn
+    sups = []
+    for r in radii:
+        t, mask = cylinder_slices(sol, z, r, lower_only=False)
+        sups.append(float(np.max(gn[t[0]:t[-1] + 1][:, mask])))
+    return sups
+
+
+@st.composite
+def jump_stacks(draw):
+    """Random u on uneven snapshot times and a +-1 relay on a small 1D or 2D
+    grid, Neumann or Dirichlet.  Each snapshot after the first either keeps
+    every state or redraws a drawn share of them, so the jumps come many to
+    a snapshot, with jump-free snapshots between."""
+    dim = draw(st.sampled_from([1, 2]))
+    nx = tuple(draw(st.integers(3, 9)) for _ in range(dim))
+    bc = draw(st.sampled_from([BC_NEUMANN, BC_DIRICHLET]))
+    K = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    still = draw(st.sampled_from([0.0, 0.5, 0.8]))
+    redraw = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    h = np.empty((K,) + nx, dtype=np.int8)
+    h[0] = rng.choice([-1, 1], size=nx)
+    for k in range(1, K):
+        flip = rng.random(nx) < (0.0 if rng.random() < still else redraw)
+        h[k] = np.where(flip, rng.choice([-1, 1], size=nx), h[k - 1])
+    return SpaceTimeSolution(
+        grid=Grid(extent=(1.0,) * dim, nx=nx, bc_kind=bc),
+        thresholds=Thresholds(0.0, 1.0),
+        times=np.concatenate([[0.0], np.cumsum(rng.uniform(0.005, 0.015, K - 1))]),
+        u=rng.standard_normal((K,) + nx),
+        h=h,
+    )
 
 
 def reference_boundary_distance(sol, z) -> float:

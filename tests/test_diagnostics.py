@@ -1,32 +1,37 @@
 """Regularity diagnostics: kernels, energies, growth, signs, profile."""
 
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    jump_stacks,
     reference_boundary_distance,
+    reference_grad_norm_stack,
     reference_parabolic_distance,
+    reference_sup_grad,
     wall_points,
 )
 from hysterm import diagnostics as dg
-from hysterm.free_boundary import (
-    JUMP_DOWN,
-    JUMP_UP,
-    FreeBoundaryAtlas,
-    grad_norm_stack,
-)
+from hysterm.config import config_from_dict
+from hysterm.free_boundary import JUMP_DOWN, JUMP_UP, FreeBoundaryAtlas, classify
 from hysterm.grid import (
     Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
+    cylinder_slices,
     gradient,
     hessian,
     spread_indices,
     time_derivative,
 )
 from hysterm.relay import Thresholds
+from hysterm.reports import default_radii
+from hysterm.solver import run
 
 TH = Thresholds(0.0, 1.0)
 
@@ -69,7 +74,6 @@ def make_atlas(sol, gamma_0=(), gamma_star=(), walls=()):
         gamma_0=jumps[:n_0],
         gamma_star=jumps[n_0:],
         walls=np.array(walls, dtype=np.int64).reshape(len(walls), 3 + sol.grid.dim),
-        grad_norm_stack=grad_norm_stack(sol),
         level_tol=1e-6,
         grad_tol=0.05,
     )
@@ -400,6 +404,81 @@ class TestGrowth:
                 osc_full=[0, 0],
                 sup_grad=[0, 0],
             )
+
+
+@st.composite
+def growth_cases(draw):
+    """A ``jump_stacks`` solution, any grid point at any snapshot as the
+    centre, and one to three decreasing radii.  A radius may be a whole
+    number of cells, so that nodes sit at the ball's edge, and may exceed
+    the gap to a face, so that the ball and its box reach it."""
+    sol = draw(jump_stacks())
+    g = sol.grid
+    z = SpaceTimePoint(draw(st.integers(0, sol.num_snapshots - 1)),
+                       tuple(draw(st.integers(0, n - 1)) for n in g.nx))
+    r = draw(st.one_of(st.floats(0.03, 0.8),
+                       st.integers(1, 6).map(lambda m: m * min(g.dx))))
+    radii = [r]
+    for _ in range(draw(st.integers(0, 2))):
+        radii.append(radii[-1] * draw(st.floats(0.2, 0.9)))
+    return sol, z, radii
+
+
+# a 2D plateau with Gamma_0 centres deep enough for the default ladder
+PLATEAU_2D = {
+    "name": "plateau_2d", "dim": 2, "extent": [2.0, 2.0], "nx": [21, 21],
+    "dt": 0.002, "T": 0.3, "alpha": 0.0, "beta": 1.0,
+    "bc": {"kind": "neumann"}, "snapshot_stride": 15,
+    "preset": {"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1},
+}
+
+
+class TestSupGrad:
+    """``quadratic_growth`` takes sup |Du| from |Du|**2 on the window of the
+    largest full cylinder only, a block of snapshots at a time; it equals,
+    with ``==``, the sup read from the whole-run |Du| stack."""
+
+    @given(case=growth_cases(), block=st.sampled_from([1, 2, 3, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_window_equals_whole_stack(self, case, block):
+        sol, z, radii = case
+        fulls = [cylinder_slices(sol, z, r, lower_only=False) for r in radii]
+        with mock.patch.object(dg, "_GROWTH_BLOCK", block):
+            got = dg._sup_grad(sol, fulls)
+        assert got == reference_sup_grad(sol, z, radii)
+
+    @given(sol=jump_stacks(), r=st.floats(0.03, 0.4),
+           block=st.sampled_from([1, 2, 64]))
+    @settings(max_examples=100, deadline=None)
+    def test_quadratic_growth_on_random_fields(self, sol, r, block):
+        """Every grid point at every snapshot is a Gamma_0 candidate."""
+        centres = [SpaceTimePoint(k, tuple(i)) for k in range(sol.num_snapshots)
+                   for i in np.ndindex(sol.grid.shape)]
+        atlas = make_atlas(sol, gamma_0=[Event(z, JUMP_DOWN, 0.0, 0.0, 0.0)
+                                         for z in centres])
+        radii = [r, r / 2.0]
+        with mock.patch.object(dg, "_GROWTH_BLOCK", block):
+            samples = dg.quadratic_growth(sol, atlas, radii)
+        gn = reference_grad_norm_stack(sol)
+        for s in samples:
+            assert s.sup_grad == reference_sup_grad(sol, s.center, radii, gn)
+
+    @pytest.mark.parametrize("name", ["oscillator", "gaussian", "plateau", "plateau_2d"])
+    def test_bundled(self, request, name):
+        """The default ladder, whose largest window on plateau spans about
+        1,200 snapshots, many blocks."""
+        if name == "plateau_2d":
+            sol = run(config_from_dict(PLATEAU_2D))
+            atlas = classify(sol)
+        else:
+            sol = request.getfixturevalue(f"{name}_sol")
+            atlas = request.getfixturevalue(f"{name}_atlas")
+        radii = default_radii(sol)
+        samples = dg.quadratic_growth(sol, atlas, radii)
+        assert samples
+        gn = reference_grad_norm_stack(sol)
+        for s in samples:
+            assert s.sup_grad == reference_sup_grad(sol, s.center, radii, gn)
 
 
 class TestSignConditions:

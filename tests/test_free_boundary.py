@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import wall_points
+from conftest import jump_stacks, reference_grad_norm_stack, wall_points
 from hysterm import diagnostics as dg
 from hysterm import free_boundary as fb
 from hysterm.config import config_from_dict
@@ -20,7 +20,8 @@ from hysterm.free_boundary import (
 )
 from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, SpaceTimeSolution
 from hysterm.relay import Thresholds
-from hysterm.reports import default_radii, write_atlas_csv
+from hysterm.presets import bundled_config
+from hysterm.reports import analyze_run, default_radii, save_run, write_atlas_csv
 from hysterm.solver import run
 
 
@@ -93,6 +94,7 @@ class TestNoBoundaryCases:
         at = classify(sol)
         assert len(at.gamma_alpha) == len(at.gamma_beta) == at.gamma_v_count == 0
         assert (sol.h > 0).all()
+        assert at.grad_norm.shape == (0,) and at.grad_norm.dtype == np.float64
 
     def test_single_snapshot_rejected(self):
         g = Grid(extent=(1.0,), nx=(5,))
@@ -405,6 +407,33 @@ class TestWallRuns:
         assert (order == np.arange(len(at.walls))).all()
 
 
+class TestGradNormColumn:
+    """``classify`` takes |Du| only on the snapshots that hold a jump; its
+    ``grad_norm`` column and the Gamma_0 / Gamma_star split equal, with
+    ``==``, those read from the whole-run |Du| stack."""
+
+    @staticmethod
+    def check(sol, at):
+        at_rows = (at.t_index, *at.idx.T)
+        want = reference_grad_norm_stack(sol)[at_rows]
+        assert at.grad_norm.dtype == np.float64
+        assert at.grad_norm.shape == want.shape
+        assert (at.grad_norm == want).all()
+        jumps = np.arange(want.size)
+        assert np.array_equal(at.gamma_0, jumps[want <= at.grad_tol])
+        assert np.array_equal(at.gamma_star, jumps[want > at.grad_tol])
+
+    @given(sol=jump_stacks(), grad_tol=st.sampled_from([None, 0.5, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_jumps(self, sol, grad_tol):
+        self.check(sol, classify(sol, level_tol=0.05, grad_tol=grad_tol))
+
+    @pytest.mark.parametrize("name", ["oscillator", "gaussian", "plateau", "wall"])
+    def test_bundled(self, request, name):
+        sol = request.getfixturevalue(f"{name}_sol")
+        self.check(sol, request.getfixturevalue(f"{name}_atlas"))
+
+
 def peak_stacks(sol, fn, *args) -> float:
     """Peak memory ``fn(*args)`` allocates, in units of the u stack's size."""
     tracemalloc.start()
@@ -418,27 +447,28 @@ def peak_stacks(sol, fn, *args) -> float:
 
 class TestAnalysisMemory:
     """Analysis of the bundled plateau (3,001 x 201) works within a stack or
-    so of headroom: the gradient is written straight into its output, the
-    level masks are built a block of snapshots at a time, and each cylinder
-    is read from a view of its slab.  Before that the three steps peaked at
-    3.02, 2.13 and 0.77 u-stacks."""
+    so of headroom: |Du| is taken only at jump snapshots and on the growth
+    windows, the level masks are built a block of snapshots at a time, and
+    each cylinder is read from a view of its slab.  Before that the three
+    steps peaked at 3.02, 2.13 and 0.77 u-stacks, and ``classify`` at 1.27
+    while the atlas kept a whole-run |Du| stack."""
 
     def test_classify(self, plateau_sol):
-        # the |Du| stack the atlas keeps is one of the 1.5
-        assert peak_stacks(plateau_sol, classify, plateau_sol) < 1.5
+        assert peak_stacks(plateau_sol, classify, plateau_sol) < 0.5
 
-    def test_grad_norm_stack_owns_its_memory(self):
-        """In 2D the atlas keeps |Du| alone, not a view into a buffer that
-        also holds the second gradient component."""
-        sol = run(config_from_dict({
-            "name": "own", "dim": 2, "extent": [1.0, 1.0], "nx": [11, 11],
-            "dt": 1e-3, "T": 0.02, "alpha": 0.2, "beta": 0.7,
-            "bc": {"kind": "dirichlet", "value": 0.0},
-            "preset": {"kind": "sine", "amplitude": 1.0, "modes": 1, "h0": -1},
-        }))
-        gn = classify(sol).grad_norm_stack
-        assert gn.shape == sol.u.shape
-        assert gn.base is None or gn.base.nbytes == gn.nbytes
+    def test_atlas_holds_no_stack(self, oscillator_sol, oscillator_atlas, sine_2d):
+        """No atlas array has the u stack's shape, in 1D or 2D: |Du| is kept
+        at the events only."""
+        for sol, at in ((oscillator_sol, oscillator_atlas), sine_2d):
+            arrays = [v for v in vars(at).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 12
+            assert all(a.shape != sol.u.shape for a in arrays)
+
+    def test_analyze_run(self, plateau_sol, tmp_path):
+        """The whole analysis, from loading the run directory to the last
+        report: 2.64 u-stacks with the whole-run |Du| stack."""
+        save_run(plateau_sol, bundled_config("plateau"), tmp_path / "run")
+        assert peak_stacks(plateau_sol, analyze_run, tmp_path / "run") < 1.75
 
     def test_separation_check(self, plateau_sol, plateau_atlas):
         assert peak_stacks(plateau_sol, separation_check, plateau_sol,

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import hysterm.cli
 from hysterm.cli import main, measure_oscillator_period
 from hysterm.config import config_from_dict, load_config
 from hysterm.errors import CFLError, ConfigError, DataIntegrityError
+from hysterm.presets import bundled_config
 from hysterm.reports import (
     _parse_snapshot,
     analyze_run,
@@ -360,6 +362,31 @@ class TestRunPersistence:
         assert "manifest.json" in names
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_manifest_is_sorted_indented_json(self, run_dir):
+        """The streamed manifest is the indented JSON text of its object plus
+        a newline, listing the files in sorted name order."""
+        rd, _, _ = run_dir
+        raw = (rd / "manifest.json").read_bytes()
+        manifest = json.loads(raw)
+        assert raw == (json.dumps(manifest, indent=2) + "\n").encode()
+        assert list(manifest["files"]) == sorted(manifest["files"])
+
+    def test_save_run_memory(self, tmp_path):
+        """Saving the bundled oscillator at T=3 (3,001 snapshots, 6,006
+        files) peaks below 2.25 MiB under tracemalloc: the file table and
+        the streamed manifest, with no copy of the manifest text.  Building
+        the text whole, a copy with its newline and then its bytes peaked
+        at 3.2 MiB."""
+        cfg = bundled_config("oscillator", T=3.0)
+        sol = run(cfg)
+        tracemalloc.start()
+        try:
+            save_run(sol, cfg, tmp_path / "osc")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 2**20
 
 
 class TestAnalyze:
