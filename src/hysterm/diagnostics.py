@@ -14,7 +14,6 @@ tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,7 +24,6 @@ from .grid import (
     Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
-    _norm_sq,
     boundary_distance,
     cylinder_slices,
     gradient,
@@ -35,13 +33,12 @@ from .grid import (
     spread_indices,
     time_derivative,
 )
+from .growth import cylinder_extremes
 
 _SLACK = 1e-12
 
 #: Growth centres per analysis at most, evenly spread over the eligible ones.
 MAX_GROWTH_CENTERS = 32
-# snapshots per block when quadratic_growth takes |Du|**2 on a window
-_GROWTH_BLOCK = 64
 #: Profile samples before those on an event are dropped.
 PROFILE_SAMPLES = 256
 #: Dyadic distance bands of the profile below the distance cap.
@@ -362,42 +359,6 @@ def eligible_growth_centers(
     return atlas.points(rows), int(near.sum())
 
 
-def _cylinder(stack, t, mask, reduce) -> float:
-    """``reduce`` over a cylinder of ``stack``.  The snapshot indices ``t``
-    are consecutive, so the slab is a view and only the points inside the
-    ball are copied."""
-    return float(reduce(stack[t[0]:t[-1] + 1][:, mask]))
-
-
-def _sup_grad(sol: SpaceTimeSolution, fulls: list) -> list:
-    """sup |Du| over each full cylinder ``(t, mask)`` of ``cylinder_slices``,
-    the first one holding all the others.
-
-    |Du|**2 is taken only on the window of the first cylinder, a block of
-    ``_GROWTH_BLOCK`` snapshots at a time: its snapshots, over the bounding
-    box of its ball widened by one node and clipped at the domain faces.
-    Every ball node's stencil neighbours then lie in the box, and where the
-    box meets a face the one-sided stencil is the grid's own, so each ball
-    node gets the full grid's value bit for bit.  sqrt is monotone and
-    correctly rounded, so the sqrt of the largest square is the largest |Du|.
-    """
-    _, ball = fulls[0]
-    box = tuple(
-        slice(max(int(i.min()) - 1, 0), int(i.max()) + 2) for i in np.nonzero(ball)
-    )
-    cyls = [(int(t[0]), int(t[-1]) + 1, mask[box]) for t, mask in fulls]
-    start, end, _ = cyls[0]
-    best = [0.0] * len(cyls)
-    for k in range(start, end, _GROWTH_BLOCK):
-        stop = min(k + _GROWTH_BLOCK, end)
-        gsq = _norm_sq(sol.u[k:stop][(slice(None), *box)], sol.grid.dx)
-        for j, (lo, hi, mask) in enumerate(cyls):
-            lo, hi = max(lo, k) - k, min(hi, stop) - k
-            if lo < hi:
-                best[j] = max(best[j], float(gsq[lo:hi].max(axis=0)[mask].max()))
-    return [math.sqrt(b) for b in best]
-
-
 def quadratic_growth(
     sol: SpaceTimeSolution, atlas: FreeBoundaryAtlas, radii: Sequence[float]
 ) -> list:
@@ -408,14 +369,17 @@ def quadratic_growth(
     samples = []
     for z in centers:
         fulls = [cylinder_slices(sol, z, r, lower_only=False) for r in radii]
+        # a lower cylinder is the full one cut at the centre's snapshot
+        lowers = [(t[t <= z.t_index], mask) for t, mask in fulls]
+        osc, sup = zip(*cylinder_extremes(sol, fulls + lowers))
+        n = len(radii)
         samples.append(
             GrowthSample(
                 center=z,
                 radii=list(radii),
-                osc_lower=[_cylinder(sol.u, *cylinder_slices(sol, z, r), np.ptp)
-                           for r in radii],
-                osc_full=[_cylinder(sol.u, *full, np.ptp) for full in fulls],
-                sup_grad=_sup_grad(sol, fulls),
+                osc_lower=list(osc[n:]),
+                osc_full=list(osc[:n]),
+                sup_grad=list(sup[:n]),
             )
         )
     return samples
@@ -504,35 +468,34 @@ def regularity_profile(
 
     About PROFILE_SAMPLES points: the product of evenly spread snapshots
     and evenly spread interior points, in snapshot-major order, less those
-    on a jump event or a wall point.
+    on a jump event or a wall point.  Each picked snapshot is taken alone:
+    its events and wall points, its Hessian and its time difference.
     """
-    on_event = np.zeros(sol.u.shape, dtype=bool)
-    on_event[(atlas.t_index, *atlas.idx.T)] = True
-    for first, last, *idx in atlas.wall_segments.tolist():
-        on_event[(slice(first, last + 1), *idx)] = True
-
     n_time = max(2, int(np.sqrt(PROFILE_SAMPLES)))
     n_space = max(2, PROFILE_SAMPLES // n_time)
     t_picks = spread_indices(1, sol.num_snapshots - 1, n_time)
     interior = np.argwhere(sol.grid.interior())
-    s_picks = np.zeros(0, dtype=int)
     if len(interior):
-        s_picks = spread_indices(0, len(interior) - 1, n_space)
+        interior = interior[spread_indices(0, len(interior) - 1, n_space)]
 
-    # sample i is at snapshot t_picks[j[i]]; the stacks below are indexed by j
-    j = np.repeat(np.arange(t_picks.size), s_picks.size)
-    idx = interior[np.tile(s_picks, t_picks.size)]
-    keep = ~on_event[(t_picks[j], *idx.T)]
-    j, idx = j[keep], idx[keep]
-    pts = (t_picks[j], idx)
-    hess = np.abs(hessian(sol.u[t_picks], sol.grid)).max(axis=(0, 1))
-    dtu = np.abs(time_derivative(sol, t_picks))
+    segs = atlas.wall_segments
+    cols = []
+    for k in t_picks.tolist():
+        on_event = np.zeros(sol.grid.shape, dtype=bool)
+        on_event[tuple(atlas.idx[atlas.t_index == k].T)] = True
+        on_event[tuple(segs[(segs[:, 0] <= k) & (k <= segs[:, 1]), 2:].T)] = True
+        at = tuple(interior[~on_event[tuple(interior.T)]].T)
+        hess = hessian(sol.u[k], sol.grid)
+        cols.append((np.full(len(at[0]), k), np.stack(at, axis=1),
+                     np.abs(time_derivative(sol, k)[at]),
+                     np.abs(hess, out=hess).max(axis=(0, 1))[at]))
+    t_index, idx, abs_dt_u, hess_norm = map(np.concatenate, zip(*cols))
     return RegularityProfile(
-        t_index=pts[0],
+        t_index=t_index,
         idx=idx,
-        dist_to_gamma_v=parabolic_distance(pts, atlas.wall_segments, sol),
-        dist_to_boundary=boundary_distance(sol, pts),
-        abs_dt_u=dtu[(j, *idx.T)],
-        hess_norm=hess[(j, *idx.T)],
+        dist_to_gamma_v=parabolic_distance((t_index, idx), segs, sol),
+        dist_to_boundary=boundary_distance(sol, (t_index, idx)),
+        abs_dt_u=abs_dt_u,
+        hess_norm=hess_norm,
         r_cap=sol.r_max(),
     )

@@ -22,8 +22,13 @@ costs one row per run, not per wall point.  ``separation_check`` builds an
 exact squared distance map per beta slice, on first use, and visits slice
 pairs in order of increasing time lag until the lag alone rules out a
 closer pair; its memory is a few grid-sized maps instead of a block of
-point pairs.  Both give the all-pairs minimum bit for bit.  The level and
-wall masks are filled in place, never through stack-sized float temporaries.
+point pairs.  Both give the all-pairs minimum bit for bit.
+
+Every pass over the snapshot stacks (the jumps, |Du| at the jump
+snapshots, the walls and the level slices) walks them a block at a time
+under ``grid.BLOCK_BYTES``, so none holds a temporary of the run's size;
+the results are those of the whole-stack passes, since masks, ``nonzero``
+order and the stencils do not depend on the block.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .grid import (
     Grid,
     SpaceTimePoint,
     SpaceTimeSolution,
+    block_len,
     gradient_norm_sq,
     laplacian,
     spread_indices,
@@ -49,9 +55,6 @@ JUMP_DOWN, JUMP_UP = 0, 1
 
 #: Consecutive snapshots a face must hold its wall conditions to be a wall.
 WALL_MIN_STEPS = 3
-
-# snapshots per block when separation_check marks the points near a level
-_LEVEL_BLOCK = 64
 
 
 @dataclass
@@ -118,9 +121,11 @@ def default_level_tol(sol: SpaceTimeSolution) -> float:
     dts = np.diff(sol.times)
     dt = float(dts.min()) if dts.size else 0.0
     dx2 = min(sol.grid.dx) ** 2
-    probe = spread_indices(0, sol.num_snapshots - 1, 5)
-    resid = laplacian(sol.u[probe], sol.grid) - sol.h[probe]
-    drift = max(1.0, float(np.abs(resid).max()))
+    drift = 1.0
+    for k in spread_indices(0, sol.num_snapshots - 1, 5).tolist():
+        resid = laplacian(sol.u[k], sol.grid)
+        resid -= sol.h[k]
+        drift = max(drift, float(np.abs(resid, out=resid).max()))
     return max(1e-8, 2.0 * (dt + dx2) * drift)
 
 
@@ -140,10 +145,9 @@ def classify(
     level_tol = default_level_tol(sol) if level_tol is None else float(level_tol)
     grad_tol = default_grad_tol(sol) if grad_tol is None else float(grad_tol)
 
-    k, *space = np.nonzero(sol.h[1:] != sol.h[:-1])
-    went_up = sol.h[(k + 1, *space)] > sol.h[(k, *space)]
-    jump_idx = np.stack(space, axis=1)
-
+    # the walls first, while no event column is alive
+    walls = _vertical_walls(sol, level_tol)
+    k, jump_idx, went_up = _jumps(sol)
     down = ~went_up
     t_index = np.concatenate([k[down], k[went_up]]) + 1
     idx = np.concatenate([jump_idx[down], jump_idx[went_up]])
@@ -154,13 +158,7 @@ def classify(
 
     at = (t_index, *idx.T)
     u = sol.u[at]
-    # |Du| only at the snapshots that hold a jump; slot[k] is snapshot k's
-    # place among them
-    has_jump = np.zeros(sol.num_snapshots, dtype=bool)
-    has_jump[t_index] = True
-    slot = np.cumsum(has_jump) - 1
-    gn_sq = gradient_norm_sq(sol.u[has_jump], sol.grid)
-    grad_norm = np.sqrt(gn_sq[(slot[t_index], *idx.T)])
+    grad_norm = np.sqrt(_grad_norm_sq_at(sol, t_index, idx))
     dt_u = (u - sol.u[(t_index - 1, *idx.T)]) / np.diff(sol.times)[t_index - 1]
 
     jumps = np.arange(k.size)
@@ -175,10 +173,53 @@ def classify(
         gamma_beta=jumps[n_alpha:],
         gamma_0=jumps[grad_norm <= grad_tol],
         gamma_star=jumps[grad_norm > grad_tol],
-        walls=_vertical_walls(sol, level_tol),
+        walls=walls,
         level_tol=level_tol,
         grad_tol=grad_tol,
     )
+
+
+def _jumps(sol: SpaceTimeSolution) -> tuple:
+    """Every relay jump ``h[k+1] != h[k]`` as ``(k, idx, went_up)``: the
+    snapshot before it, the spatial index ``(n, dim)`` and whether the
+    state rose, in the (k, C-order index) order of ``np.nonzero`` over the
+    whole stack.  Found a block of snapshot pairs at a time in one reused
+    bool buffer."""
+    h, pairs = sol.h, sol.num_snapshots - 1
+    step = block_len(h[0].size)
+    buf = np.empty((min(step, pairs),) + sol.grid.shape, dtype=bool)
+    ks, idxs = [], []
+    for k in range(0, pairs, step):
+        ne = buf[:min(step, pairs - k)]
+        np.not_equal(h[k + 1:k + 1 + len(ne)], h[k:k + len(ne)], out=ne)
+        kk, *space = np.nonzero(ne)
+        ks.append(kk + k)
+        idxs.append(np.stack(space, axis=1))
+    k, idx = np.concatenate(ks), np.concatenate(idxs)
+    space = tuple(idx.T)
+    return k, idx, h[(k + 1, *space)] > h[(k, *space)]
+
+
+def _grad_norm_sq_at(sol: SpaceTimeSolution, t_index, idx) -> np.ndarray:
+    """|Du|**2 at the points ``(t_index, idx)``, taken with
+    ``gradient_norm_sq`` only on the snapshots that hold a point, a block of
+    them at a time; ``slot[k]`` is snapshot k's place among them."""
+    has = np.zeros(sol.num_snapshots, dtype=bool)
+    has[t_index] = True
+    snaps = np.nonzero(has)[0]
+    slot = (np.cumsum(has) - 1)[t_index]
+    out = np.empty(t_index.size)
+    # the block's copy of u, the norm and its scratch
+    step = block_len(3 * sol.u[0].nbytes)
+    for s in range(0, snaps.size, step):
+        block = snaps[s:s + step]
+        # consecutive snapshots are a view of the stack, not a copy
+        if block[-1] - block[0] == len(block) - 1:
+            block = slice(block[0], block[-1] + 1)
+        gn_sq = gradient_norm_sq(sol.u[block], sol.grid)
+        sel = (slot >= s) & (slot < s + step)
+        out[sel] = gn_sq[(slot[sel] - s, *idx[sel].T)]
+    return out
 
 
 def _vertical_walls(sol, level_tol) -> np.ndarray:
@@ -188,37 +229,54 @@ def _vertical_walls(sol, level_tol) -> np.ndarray:
     Returns the ``FreeBoundaryAtlas.walls`` rows ``(axis, first, last, i0,
     ...)``, one per face and maximal run of such snapshots that is long
     enough, sorted by axis, then face in C order, then ``first``.  The runs
-    come from one pass over time: with the face's activity padded by an
-    inactive snapshot at either end and time as the last axis, the changes
-    along time alternate between the start of a run and the snapshot after
-    its end.  The conditions are and-ed in place into that padded buffer.
+    come from one pass over time per face: with the face's activity padded
+    by an inactive snapshot at either end, the changes along time alternate
+    between the start of a run and the snapshot after its end, and
+    ``np.nonzero`` over them with time as the last axis (a transposed view)
+    lists them face by face.  The faces go a block of face rows (the first
+    face index) at a time, in C order.  Each block marks the nodes its faces
+    join, a view of the stacks, strictly inside the band once; a face's
+    activity is the relay's change across it and-ed with the marks at both
+    ends.  The marks, their scratch, the padded activity and its changes are
+    reused bool buffers that fit ``grid.BLOCK_BYTES``.
     """
     th = sol.thresholds
     lo, hi = th.alpha + level_tol, th.beta - level_tol
-    dim = sol.grid.dim
     K = sol.num_snapshots
+    n0, *rest = sol.grid.shape
     rows = []
-    for axis in range(dim):
-        sl_a = [slice(None)] * (dim + 1)
-        sl_b = [slice(None)] * (dim + 1)
-        sl_a[axis + 1] = slice(None, -1)
-        sl_b[axis + 1] = slice(1, None)
-        sl_a, sl_b = tuple(sl_a), tuple(sl_b)
-        ua, ub = sol.u[sl_a], sol.u[sl_b]
-        padded = np.zeros(ua.shape[1:] + (K + 2,), dtype=bool)
-        active = np.moveaxis(padded[..., 1:-1], -1, 0)
-        np.not_equal(sol.h[sl_a], sol.h[sl_b], out=active)
-        active &= ua > lo
-        active &= ua < hi
-        active &= ub > lo
-        active &= ub < hi
-        *face, k = np.nonzero(np.diff(padded, axis=-1))
-        first, last = k[0::2], k[1::2] - 1
-        keep = last - first + 1 >= WALL_MIN_STEPS
-        rows.append(np.column_stack([
-            np.full(np.count_nonzero(keep), axis), first[keep], last[keep],
-            *(f[0::2][keep] for f in face),
-        ]))
+    for axis in range(sol.grid.dim):
+        a = (slice(None),) * (axis + 1) + (slice(None, -1),)
+        b = (slice(None),) * (axis + 1) + (slice(1, None),)
+        # m face rows join m node rows, or m + 1 of them along axis 0
+        extra = int(axis == 0)
+        n_rows, *face_row = sol.u[0][a[1:]].shape
+        step = block_len(4 * (K + 2) * math.prod(rest))
+        n = min(step, n_rows)
+        marks = np.empty((2, K, n + extra, *rest), dtype=bool)
+        padded = np.zeros((K + 2, n, *face_row), dtype=bool)
+        edges = np.empty((K + 1, n, *face_row), dtype=bool)
+        for r in range(0, n_rows, step):
+            m = min(step, n_rows - r)
+            nodes = (slice(None), slice(r, r + m + extra))
+            u, h = sol.u[nodes], sol.h[nodes]
+            mark, scratch = marks[:, :, :m + extra]
+            np.greater(u, lo, out=mark)
+            mark &= np.less(u, hi, out=scratch)
+            active = padded[1:-1, :m]
+            np.not_equal(h[a], h[b], out=active)
+            active &= mark[a]
+            active &= mark[b]
+            # np.diff of a bool array is this not_equal
+            change = edges[:, :m]
+            np.not_equal(padded[1:, :m], padded[:-1, :m], out=change)
+            f0, *face, k = np.nonzero(np.moveaxis(change, 0, -1))
+            first, last = k[0::2], k[1::2] - 1
+            keep = last - first + 1 >= WALL_MIN_STEPS
+            rows.append(np.column_stack([
+                np.full(np.count_nonzero(keep), axis), first[keep], last[keep],
+                f0[0::2][keep] + r, *(f[0::2][keep] for f in face),
+            ]))
     return np.concatenate(rows)
 
 
@@ -235,15 +293,16 @@ def separation_check(
     reaches the best value so far, and reads each beta slice's exact
     squared distance map (``_squared_distance_map``), built on first use.
     Rounded sqrt, max and subtraction are monotone, so the result is the
-    pairwise minimum bit for bit.
+    pairwise minimum bit for bit.  One blocked pass (``_level_slices``)
+    finds the snapshots that hold a point of either set; a slice's mask of
+    near points is rebuilt when the walk first needs it, so no mask of the
+    run's size exists.
     """
     level_tol = default_level_tol(sol) if level_tol is None else float(level_tol)
     th = sol.thresholds
     cap = sol.r_max()
-    near_a, near_b = _near_levels(sol, (th.alpha, th.beta), level_tol)
-    space = tuple(range(1, sol.u.ndim))
-    a_slices = np.nonzero(near_a.any(axis=space))[0].tolist()
-    b_slices = np.nonzero(near_b.any(axis=space))[0].tolist()
+    interior = sol.grid.interior()
+    a_slices, b_slices = _level_slices(sol, (th.alpha, th.beta), level_tol, interior)
     if not a_slices or not b_slices:
         return cap
 
@@ -255,6 +314,7 @@ def separation_check(
         t = times[i]
         hi = bisect.bisect_left(b_times, t)
         lo = hi - 1
+        near_a = None
         while lo >= 0 or hi < len(b_slices):
             if hi == len(b_slices) or (lo >= 0 and t - b_times[lo] <= b_times[hi] - t):
                 j, lag = b_slices[lo], t - b_times[lo]
@@ -266,8 +326,11 @@ def separation_check(
             if reach >= best:
                 break
             if j not in dist2:
-                dist2[j] = _squared_distance_map(near_b[j], sol.grid)
-            best = min(best, max(math.sqrt(float(dist2[j][near_a[i]].min())), reach))
+                near_b = _near(sol.u[j], th.beta, level_tol, interior)
+                dist2[j] = _squared_distance_map(near_b, sol.grid)
+            if near_a is None:
+                near_a = _near(sol.u[i], th.alpha, level_tol, interior)
+            best = min(best, max(math.sqrt(float(dist2[j][near_a].min())), reach))
         # alpha slices come in time order and best only falls, so a beta
         # slice this far below t is never reached again
         for j in [j for j in dist2 if times[j] < t and math.sqrt(t - times[j]) >= best]:
@@ -275,22 +338,28 @@ def separation_check(
     return best
 
 
-def _near_levels(sol: SpaceTimeSolution, levels, level_tol: float) -> list:
-    """Per level, the mask of interior points with ``|u - level| <=
-    level_tol``, built a block of snapshots at a time in one small buffer."""
-    interior = sol.grid.interior()
-    masks = [np.empty(sol.u.shape, dtype=bool) for _ in levels]
-    buf = np.empty((min(_LEVEL_BLOCK, sol.num_snapshots),) + sol.grid.shape)
-    for k in range(0, sol.num_snapshots, _LEVEL_BLOCK):
-        block = sol.u[k:k + _LEVEL_BLOCK]
-        diff = buf[:len(block)]
-        for level, mask in zip(levels, masks):
-            np.subtract(block, level, out=diff)
-            np.abs(diff, out=diff)
-            near = mask[k:k + _LEVEL_BLOCK]
-            np.less_equal(diff, level_tol, out=near)
-            near &= interior
-    return masks
+def _near(u: np.ndarray, level: float, level_tol: float, interior) -> np.ndarray:
+    """The interior points of ``u``, one snapshot or a block of them, with
+    ``|u - level| <= level_tol``."""
+    d = u - level
+    near = np.abs(d, out=d) <= level_tol
+    near &= interior
+    return near
+
+
+def _level_slices(sol: SpaceTimeSolution, levels, level_tol: float,
+                  interior) -> list:
+    """Per level, the snapshots (a sorted list) where ``_near`` holds at
+    some point, a block of snapshots at a time."""
+    # per snapshot: _near's difference and mask
+    step = block_len(sol.u[0].nbytes + sol.u[0].size)
+    space = tuple(range(1, sol.u.ndim))
+    hits = [[] for _ in levels]
+    for k in range(0, sol.num_snapshots, step):
+        for level, hit in zip(levels, hits):
+            near = _near(sol.u[k:k + step], level, level_tol, interior)
+            hit += (np.nonzero(near.any(axis=space))[0] + k).tolist()
+    return hits
 
 
 def _squared_distance_map(mask: np.ndarray, g: Grid) -> np.ndarray:

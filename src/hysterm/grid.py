@@ -7,7 +7,8 @@ care about stencil order only sample ``Grid.interior()``, the points at
 least ``INTERIOR_MARGIN`` cells away from the boundary.  The derivative
 operators act on the trailing ``dim`` axes, so a ``(K,) + shape`` snapshot
 stack goes through in one call; ``gradient`` and ``hessian`` write
-straight into their output with no stack-sized temporaries.
+straight into their output with no stack-sized temporaries.  The analysis
+passes call them on blocks of snapshots whose scratch fits ``BLOCK_BYTES``.
 
 Parabolic cylinders and the parabolic distance follow parabolic scaling:
 the lower cylinder of radius ``r`` at ``z0 = (x0, t0)`` collects grid
@@ -37,6 +38,17 @@ INTERIOR_MARGIN = 2
 
 BC_NEUMANN = "neumann"
 BC_DIRICHLET = "dirichlet"
+
+#: Bytes of scratch an analysis pass holds at once while it walks the
+#: snapshot stacks a block of rows at a time (``block_len``).
+BLOCK_BYTES = 1 << 17
+
+
+def block_len(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` scratch bytes each that one block of a pass
+    takes: as many as ``BLOCK_BYTES`` holds, at least one.  The budget is
+    read at call time."""
+    return max(1, BLOCK_BYTES // max(1, int(row_bytes)))
 
 
 class SpaceTimePoint(NamedTuple):
@@ -220,11 +232,21 @@ def laplacian(f: np.ndarray, g: Grid) -> np.ndarray:
 
 def _first_diff(f: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndarray:
     """``np.gradient(f, dx, axis=axis)``, the same rounded operations in the
-    same order, written into ``out`` (not ``f``) with no temporaries."""
+    same order, written into ``out`` (not ``f``) with no temporaries.
+
+    Along the last axis of C-contiguous arrays the central difference runs
+    once over their flat views: a ufunc over views strided in their last
+    axis would allocate numpy's iteration buffers, up to 64 KiB per operand.
+    The entries at either end of a row then mix neighbouring rows until the
+    one-sided edges overwrite them."""
     n = f.shape[axis]
     ax = (slice(None),) * axis
-    mid = out[ax + (slice(1, -1),)]
-    np.subtract(f[ax + (slice(2, None),)], f[ax + (slice(None, -2),)], out=mid)
+    if axis == f.ndim - 1 and f.flags.c_contiguous and out.flags.c_contiguous:
+        src, mid = f.reshape(-1), out.reshape(-1)[1:-1]
+        np.subtract(src[2:], src[:-2], out=mid)
+    else:
+        mid = out[ax + (slice(1, -1),)]
+        np.subtract(f[ax + (slice(2, None),)], f[ax + (slice(None, -2),)], out=mid)
     np.divide(mid, 2.0 * dx, out=mid)
     for e, hi, lo in ((0, 1, 0), (n - 1, n - 1, n - 2)):
         edge = out[ax + (slice(e, e + 1),)]
@@ -255,12 +277,13 @@ def gradient_norm_sq(f: np.ndarray, g: Grid) -> np.ndarray:
     return _norm_sq(_check_field(f, g), g.dx)
 
 
-def _norm_sq(f: np.ndarray, dx: tuple) -> np.ndarray:
+def _norm_sq(f: np.ndarray, dx: tuple, out=None) -> np.ndarray:
     """``gradient_norm_sq`` over the trailing ``len(dx)`` axes of ``f``,
     whatever their length, so ``f`` may be a box cut from a grid field: the
-    box's edges then take the one-sided stencil."""
+    box's edges then take the one-sided stencil.  Written into ``out`` when
+    given (an array of ``f``'s shape, not ``f``)."""
     lead = f.ndim - len(dx)
-    out = _first_diff(f, lead, dx[0], np.empty_like(f))
+    out = _first_diff(f, lead, dx[0], np.empty_like(f) if out is None else out)
     np.square(out, out=out)
     for axis in range(1, len(dx)):
         d = _first_diff(f, lead + axis, dx[axis], np.empty_like(f))

@@ -136,12 +136,21 @@ def load_manifest(run_dir) -> dict:
             f"manifest {path} has num_snapshots {n}, needs at least 2 and a "
             f"u and an h file listed for each"
         )
-    want = {f"{kind}_{k:06d}.csv" for k in range(n) for kind in "uh"}
-    have = {name for name in files if SNAPSHOT_NAME.fullmatch(name)}
-    if have != want:
+    # checked by index: the names are unique, so with none beyond n, 2n
+    # snapshot names are every u and h file of snapshots 0 .. n-1
+    listed, beyond = 0, []
+    for name in files:
+        match = SNAPSHOT_NAME.fullmatch(name)
+        if match:
+            listed += 1
+            if int(match[1]) >= n:
+                beyond.append(name)
+    if beyond or listed != 2 * n:
+        missing = [name for name in (f"{kind}_{k:06d}.csv" for kind in "hu"
+                                     for k in range(n)) if name not in files]
         raise DataIntegrityError(
             f"manifest {path} does not list the snapshot files of num_snapshots "
-            f"{n}: missing {sorted(want - have)[:3]}, beyond {sorted(have - want)[:3]}"
+            f"{n}: missing {missing[:3]}, beyond {sorted(beyond)[:3]}"
         )
     return manifest
 
@@ -221,13 +230,13 @@ def load_run(run_dir) -> tuple:
     cfg = config_from_dict(manifest["config"])
     g = build_grid(cfg)
     n = manifest["num_snapshots"]
-    pairs = [(f"u_{k:06d}.csv", f"h_{k:06d}.csv") for k in range(n)]
-    for name in sorted(files.keys() - {name for pair in pairs for name in pair}):
+    for name in sorted(name for name in files if not SNAPSHOT_NAME.fullmatch(name)):
         _read_listed(run_dir, files, name)
     times = np.empty(n)
     us = np.empty((n,) + g.shape)
     hs = np.empty((n,) + g.shape, dtype=np.int8)
-    for k, (u_name, h_name) in enumerate(pairs):
+    for k in range(n):
+        u_name, h_name = f"u_{k:06d}.csv", f"h_{k:06d}.csv"
         t, u = _parse_snapshot(_read_listed(run_dir, files, u_name), u_name)
         t_h, h = _parse_snapshot(_read_listed(run_dir, files, h_name), h_name)
         for bad, what in (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hysterm.free_boundary import classify
+from hysterm.free_boundary import WALL_MIN_STEPS, classify
 from hysterm.grid import (
     BC_DIRICHLET,
     BC_NEUMANN,
@@ -95,6 +95,46 @@ def reference_parabolic_distance(z, S, sol) -> float:
     return float(min(cap, crit.min()))
 
 
+def reference_jumps(sol) -> tuple:
+    """Every relay jump as ``(k, idx, went_up)``, found over the whole stack
+    at once as ``classify`` found them before its blocked jump pass."""
+    k, *space = np.nonzero(sol.h[1:] != sol.h[:-1])
+    went_up = sol.h[(k + 1, *space)] > sol.h[(k, *space)]
+    return k, np.stack(space, axis=1), went_up
+
+
+def reference_walls(sol, level_tol) -> np.ndarray:
+    """The wall face runs from one padded activity array per axis of the
+    whole run, as ``classify`` built them before its blocked wall pass."""
+    th = sol.thresholds
+    lo, hi = th.alpha + level_tol, th.beta - level_tol
+    dim = sol.grid.dim
+    K = sol.num_snapshots
+    rows = []
+    for axis in range(dim):
+        sl_a = [slice(None)] * (dim + 1)
+        sl_b = [slice(None)] * (dim + 1)
+        sl_a[axis + 1] = slice(None, -1)
+        sl_b[axis + 1] = slice(1, None)
+        sl_a, sl_b = tuple(sl_a), tuple(sl_b)
+        ua, ub = sol.u[sl_a], sol.u[sl_b]
+        padded = np.zeros(ua.shape[1:] + (K + 2,), dtype=bool)
+        active = np.moveaxis(padded[..., 1:-1], -1, 0)
+        np.not_equal(sol.h[sl_a], sol.h[sl_b], out=active)
+        active &= ua > lo
+        active &= ua < hi
+        active &= ub > lo
+        active &= ub < hi
+        *face, k = np.nonzero(np.diff(padded, axis=-1))
+        first, last = k[0::2], k[1::2] - 1
+        keep = last - first + 1 >= WALL_MIN_STEPS
+        rows.append(np.column_stack([
+            np.full(np.count_nonzero(keep), axis), first[keep], last[keep],
+            *(f[0::2][keep] for f in face),
+        ]))
+    return np.concatenate(rows)
+
+
 def reference_grad_norm_stack(sol) -> np.ndarray:
     """|Du| at every stored snapshot, in one array of the u stack's size: the
     stack that ``classify`` built and the atlas kept for the diagnostics
@@ -112,6 +152,17 @@ def reference_sup_grad(sol, z, radii, gn=None) -> list:
         t, mask = cylinder_slices(sol, z, r, lower_only=False)
         sups.append(float(np.max(gn[t[0]:t[-1] + 1][:, mask])))
     return sups
+
+
+def reference_osc(sol, z, radii, lower_only) -> list:
+    """``np.ptp`` of u over the lower or full cylinder of each radius at
+    ``z``, each ball copied out of its slab as ``quadratic_growth`` read it
+    before it reduced the slab along time first."""
+    osc = []
+    for r in radii:
+        t, mask = cylinder_slices(sol, z, r, lower_only=lower_only)
+        osc.append(float(np.ptp(sol.u[t[0]:t[-1] + 1][:, mask])))
+    return osc
 
 
 @st.composite

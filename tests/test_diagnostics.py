@@ -12,11 +12,13 @@ from conftest import (
     jump_stacks,
     reference_boundary_distance,
     reference_grad_norm_stack,
+    reference_osc,
     reference_parabolic_distance,
     reference_sup_grad,
     wall_points,
 )
 from hysterm import diagnostics as dg
+from hysterm import grid
 from hysterm.config import config_from_dict
 from hysterm.free_boundary import JUMP_DOWN, JUMP_UP, FreeBoundaryAtlas, classify
 from hysterm.grid import (
@@ -29,6 +31,7 @@ from hysterm.grid import (
     spread_indices,
     time_derivative,
 )
+from hysterm.growth import cylinder_extremes
 from hysterm.relay import Thresholds
 from hysterm.reports import default_radii
 from hysterm.solver import run
@@ -433,35 +436,45 @@ PLATEAU_2D = {
 }
 
 
+# block budgets in bytes: one box row per block, a few rows of a 1D box,
+# tens of rows, and the default budget (the whole window)
+BUDGETS = [1, 100, 400, grid.BLOCK_BYTES]
+
+
 class TestSupGrad:
     """``quadratic_growth`` takes sup |Du| from |Du|**2 on the window of the
     largest full cylinder only, a block of snapshots at a time; it equals,
     with ``==``, the sup read from the whole-run |Du| stack."""
 
-    @given(case=growth_cases(), block=st.sampled_from([1, 2, 3, 64]))
+    @given(case=growth_cases(), budget=st.sampled_from(BUDGETS))
     @settings(max_examples=300, deadline=None)
-    def test_window_equals_whole_stack(self, case, block):
+    def test_window_equals_whole_stack(self, case, budget):
         sol, z, radii = case
-        fulls = [cylinder_slices(sol, z, r, lower_only=False) for r in radii]
-        with mock.patch.object(dg, "_GROWTH_BLOCK", block):
-            got = dg._sup_grad(sol, fulls)
-        assert got == reference_sup_grad(sol, z, radii)
+        cyls = [cylinder_slices(sol, z, r, lower_only=lower)
+                for lower in (False, True) for r in radii]
+        with mock.patch.object(grid, "BLOCK_BYTES", budget):
+            osc, sup = map(list, zip(*cylinder_extremes(sol, cyls)))
+        assert sup[:len(radii)] == reference_sup_grad(sol, z, radii)
+        assert osc == (reference_osc(sol, z, radii, False)
+                       + reference_osc(sol, z, radii, True))
 
     @given(sol=jump_stacks(), r=st.floats(0.03, 0.4),
-           block=st.sampled_from([1, 2, 64]))
+           budget=st.sampled_from(BUDGETS))
     @settings(max_examples=100, deadline=None)
-    def test_quadratic_growth_on_random_fields(self, sol, r, block):
+    def test_quadratic_growth_on_random_fields(self, sol, r, budget):
         """Every grid point at every snapshot is a Gamma_0 candidate."""
         centres = [SpaceTimePoint(k, tuple(i)) for k in range(sol.num_snapshots)
                    for i in np.ndindex(sol.grid.shape)]
         atlas = make_atlas(sol, gamma_0=[Event(z, JUMP_DOWN, 0.0, 0.0, 0.0)
                                          for z in centres])
         radii = [r, r / 2.0]
-        with mock.patch.object(dg, "_GROWTH_BLOCK", block):
+        with mock.patch.object(grid, "BLOCK_BYTES", budget):
             samples = dg.quadratic_growth(sol, atlas, radii)
         gn = reference_grad_norm_stack(sol)
         for s in samples:
             assert s.sup_grad == reference_sup_grad(sol, s.center, radii, gn)
+            assert s.osc_full == reference_osc(sol, s.center, radii, False)
+            assert s.osc_lower == reference_osc(sol, s.center, radii, True)
 
     @pytest.mark.parametrize("name", ["oscillator", "gaussian", "plateau", "plateau_2d"])
     def test_bundled(self, request, name):
@@ -479,6 +492,8 @@ class TestSupGrad:
         gn = reference_grad_norm_stack(sol)
         for s in samples:
             assert s.sup_grad == reference_sup_grad(sol, s.center, radii, gn)
+            assert s.osc_full == reference_osc(sol, s.center, radii, False)
+            assert s.osc_lower == reference_osc(sol, s.center, radii, True)
 
 
 class TestSignConditions:

@@ -8,7 +8,9 @@ point, the floats of the per-point forms they replaced
 (``conftest.reference_*``).
 """
 
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from conftest import (
     wall_points,
 )
 from hysterm.config import config_from_dict
-from hysterm.free_boundary import _LEVEL_BLOCK, classify, separation_check
+from hysterm import grid
+from hysterm.free_boundary import classify, separation_check
 from hysterm.grid import (
     BC_DIRICHLET,
     BC_NEUMANN,
@@ -102,6 +105,10 @@ def solutions(draw, values=(0.0, 1.0, 0.5, 0.02, 0.97, 0.45, 0.55)):
     )
 
 
+# snapshots per block of separation_check's level pass in the test below
+LEVEL_BLOCK = 64
+
+
 class TestSeparationKernel:
     @given(sol=solutions(), level_tol=st.sampled_from([1e-9, 0.05, 0.5, 0.6]))
     @settings(max_examples=150, deadline=None)
@@ -112,18 +119,20 @@ class TestSeparationKernel:
         assert separation_check(sol, level_tol) == brute_separation(sol, level_tol)
 
 
-    @pytest.mark.parametrize("K", [_LEVEL_BLOCK + 1, 2 * _LEVEL_BLOCK + 13])
+    @pytest.mark.parametrize("K", [LEVEL_BLOCK + 1, 2 * LEVEL_BLOCK + 13])
     @pytest.mark.parametrize("nx", [(8,), (6, 7)], ids=["1d", "2d"])
     def test_runs_longer_than_a_block(self, K, nx):
-        """The level masks are built a block of snapshots at a time.  On runs
-        of more than one block, of a length that is not a multiple of it,
-        every alpha point lies in the last, partial block, so a block left
-        out or misplaced changes the result."""
+        """The level slices are found a block of snapshots at a time; the
+        budget is shrunk to ``LEVEL_BLOCK`` snapshots of the pass's rows (a
+        float and a bool snapshot).  On runs of more than one block, of a
+        length that is not a multiple of it, every alpha point lies in the
+        last, partial block, so a block left out or misplaced changes the
+        result."""
         rng = np.random.default_rng(K * len(nx))
         g = Grid(extent=(1.0,) * len(nx), nx=nx)
         times = np.cumsum(rng.uniform(1e-4, 0.01, K))
         u = np.full((K,) + nx, 0.5)
-        tail = K - K % _LEVEL_BLOCK
+        tail = K - K % LEVEL_BLOCK
         for level, first in ((0.0, tail), (1.0, 0)):
             for _ in range(6):
                 m = INTERIOR_MARGIN
@@ -131,8 +140,10 @@ class TestSeparationKernel:
                 u[(rng.integers(first, K), *idx)] = level
         sol = SpaceTimeSolution(g, TH, times, u,
                                 np.where(u > 0.5, 1, -1).astype(np.int8))
+        budget = LEVEL_BLOCK * 9 * math.prod(nx)
         for level_tol in (0.05, 0.6):
-            sep = separation_check(sol, level_tol)
+            with mock.patch.object(grid, "BLOCK_BYTES", budget):
+                sep = separation_check(sol, level_tol)
             assert sep == brute_separation(sol, level_tol) < sol.r_max()
 
 

@@ -1,5 +1,6 @@
 """Free-boundary extraction: jump events, walls, separation, serialization."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -8,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jump_stacks, reference_grad_norm_stack, wall_points
+from conftest import (
+    jump_stacks,
+    reference_grad_norm_stack,
+    reference_jumps,
+    reference_walls,
+    wall_points,
+)
 from hysterm import diagnostics as dg
 from hysterm import free_boundary as fb
+from hysterm import grid
 from hysterm.config import config_from_dict
 from hysterm.free_boundary import (
     classify,
@@ -407,6 +415,74 @@ class TestWallRuns:
         assert (order == np.arange(len(at.walls))).all()
 
 
+@st.composite
+def blocked_stacks(draw):
+    """Random +-1 relay and u stacks in 1D or 2D with a drawn block length
+    ``B``, whose snapshot pairs and first-axis face rows straddle one and
+    two blocks of ``B``.  One point jumps at every snapshot, so its jumps
+    cross every block edge and touch the first and the last snapshot; one
+    face in the first-axis face row ``B - 1`` or ``B`` is a wall at every
+    snapshot."""
+    dim = draw(st.sampled_from([1, 2]))
+    B = draw(st.integers(1, 4))
+    around = [B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1]
+    K = max(2, draw(st.sampled_from(around)) + 1)
+    nx = (max(3, draw(st.sampled_from(around)) + 1),
+          *(draw(st.integers(3, 6)) for _ in range(dim - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    h = np.empty((K,) + nx, dtype=np.int8)
+    h[0] = rng.choice([-1, 1], size=nx)
+    for k in range(1, K):
+        h[k] = np.where(rng.random(nx) < keep, h[k - 1], rng.choice([-1, 1], size=nx))
+    u = rng.choice([-0.1, 0.05, 0.3, 0.5, 0.9, 0.95, 1.1], size=(K,) + nx)
+    jumper = tuple(int(rng.integers(0, n)) for n in nx)
+    h[(slice(None), *jumper)] = np.where(np.arange(K) % 2, 1, -1)
+    i0 = min(draw(st.sampled_from([B - 1, B])), nx[0] - 2)
+    face = (i0, *(int(rng.integers(0, n)) for n in nx[1:]))
+    other = (i0 + 1, *face[1:])
+    h[(slice(None), *face)], h[(slice(None), *other)] = -1, 1
+    u[(slice(None), *face)] = u[(slice(None), *other)] = 0.5
+    sol = SpaceTimeSolution(
+        grid=Grid(extent=(1.0,) * dim, nx=nx),
+        thresholds=Thresholds(0.0, 1.0),
+        times=np.arange(K) * 1e-3,
+        u=u,
+        h=h,
+    )
+    return sol, B
+
+
+class TestBlockedPasses:
+    """The jump and wall passes walk the stacks in blocks under
+    ``grid.BLOCK_BYTES``; shrunk to ``B`` rows of each pass, they equal, with
+    ``==``, the whole-stack passes they replaced."""
+
+    @given(case=blocked_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_jumps(self, case):
+        """A block is ``B`` snapshot pairs, one relay snapshot each."""
+        sol, B = case
+        with mock.patch.object(grid, "BLOCK_BYTES", B * sol.h[0].nbytes):
+            got = fb._jumps(sol)
+        for a, b in zip(got, reference_jumps(sol), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert (a == b).all()
+
+    @given(case=blocked_stacks(), level_tol=st.sampled_from([0.0, 0.05, 0.2]))
+    @settings(max_examples=300, deadline=None)
+    def test_vertical_walls(self, case, level_tol):
+        """A block is ``B`` face rows; a face row's marks, their scratch, the
+        activity and its changes take ``4 * (K + 2)`` bytes per node."""
+        sol, B = case
+        budget = B * 4 * (sol.num_snapshots + 2) * math.prod(sol.grid.shape[1:])
+        with mock.patch.object(grid, "BLOCK_BYTES", budget):
+            got = fb._vertical_walls(sol, level_tol)
+        want = reference_walls(sol, level_tol)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+
+
 class TestGradNormColumn:
     """``classify`` takes |Du| only on the snapshots that hold a jump; its
     ``grad_norm`` column and the Gamma_0 / Gamma_star split equal, with
@@ -423,10 +499,14 @@ class TestGradNormColumn:
         assert np.array_equal(at.gamma_0, jumps[want <= at.grad_tol])
         assert np.array_equal(at.gamma_star, jumps[want > at.grad_tol])
 
-    @given(sol=jump_stacks(), grad_tol=st.sampled_from([None, 0.5, 2.0]))
+    @given(sol=jump_stacks(), grad_tol=st.sampled_from([None, 0.5, 2.0]),
+           budget=st.sampled_from([1, 200, grid.BLOCK_BYTES]))
     @settings(max_examples=200, deadline=None)
-    def test_random_jumps(self, sol, grad_tol):
-        self.check(sol, classify(sol, level_tol=0.05, grad_tol=grad_tol))
+    def test_random_jumps(self, sol, grad_tol, budget):
+        """Budgets of one snapshot per block, a few, and the default."""
+        with mock.patch.object(grid, "BLOCK_BYTES", budget):
+            at = classify(sol, level_tol=0.05, grad_tol=grad_tol)
+        self.check(sol, at)
 
     @pytest.mark.parametrize("name", ["oscillator", "gaussian", "plateau", "wall"])
     def test_bundled(self, request, name):
@@ -445,16 +525,34 @@ def peak_stacks(sol, fn, *args) -> float:
     return peak / sol.u.nbytes
 
 
+# the 81x81 2D run of 21 snapshots (the benchmark's heat_2d)
+HEAT_2D = {
+    "name": "heat_2d", "dim": 2, "extent": [1.0, 1.0], "nx": [81, 81],
+    "dt": 3e-5, "T": 0.3, "alpha": 0.25, "beta": 0.75,
+    "bc": {"kind": "dirichlet", "value": 0.0}, "snapshot_stride": 500,
+    "preset": {"kind": "sine", "amplitude": 1.0, "modes": 1, "h0": -1},
+}
+
+
+@pytest.fixture(scope="module")
+def heat_2d_sol():
+    return run(config_from_dict(HEAT_2D))
+
+
 class TestAnalysisMemory:
-    """Analysis of the bundled plateau (3,001 x 201) works within a stack or
-    so of headroom: |Du| is taken only at jump snapshots and on the growth
-    windows, the level masks are built a block of snapshots at a time, and
-    each cylinder is read from a view of its slab.  Before that the three
-    steps peaked at 3.02, 2.13 and 0.77 u-stacks, and ``classify`` at 1.27
-    while the atlas kept a whole-run |Du| stack."""
+    """Analysis works inside the loaded u and h stacks: every pass over
+    them walks a block of rows at a time under ``grid.BLOCK_BYTES``, so no
+    temporary has the run's size.  On the bundled plateau (3,001 x 201) the
+    passes peaked, with 64-snapshot blocks, whole-run jump and level masks,
+    a whole-run event mask in the profile and copied cylinder balls, at
+    0.29 (``classify``), 0.28 (``separation_check``), 0.15
+    (``quadratic_growth``) and 0.15 u-stacks (``regularity_profile``), and
+    ``analyze_run`` at 1.51 with the snapshot name sets of ``load_run``; on
+    the 81 x 81, 21-snapshot run one 64-snapshot block held the whole run,
+    and ``separation_check`` peaked at 1.26 and ``classify`` at 0.54."""
 
     def test_classify(self, plateau_sol):
-        assert peak_stacks(plateau_sol, classify, plateau_sol) < 0.5
+        assert peak_stacks(plateau_sol, classify, plateau_sol) < 0.2
 
     def test_atlas_holds_no_stack(self, oscillator_sol, oscillator_atlas, sine_2d):
         """No atlas array has the u stack's shape, in 1D or 2D: |Du| is kept
@@ -468,13 +566,23 @@ class TestAnalysisMemory:
         """The whole analysis, from loading the run directory to the last
         report: 2.64 u-stacks with the whole-run |Du| stack."""
         save_run(plateau_sol, bundled_config("plateau"), tmp_path / "run")
-        assert peak_stacks(plateau_sol, analyze_run, tmp_path / "run") < 1.75
+        assert peak_stacks(plateau_sol, analyze_run, tmp_path / "run") < 1.45
 
     def test_separation_check(self, plateau_sol, plateau_atlas):
         assert peak_stacks(plateau_sol, separation_check, plateau_sol,
-                           plateau_atlas.level_tol) < 0.5
+                           plateau_atlas.level_tol) < 0.1
 
     def test_quadratic_growth(self, plateau_sol, plateau_atlas):
         radii = default_radii(plateau_sol)
         assert peak_stacks(plateau_sol, dg.quadratic_growth, plateau_sol,
-                           plateau_atlas, radii) < 0.35
+                           plateau_atlas, radii) < 0.1
+
+    def test_regularity_profile(self, plateau_sol, plateau_atlas):
+        assert peak_stacks(plateau_sol, dg.regularity_profile, plateau_sol,
+                           plateau_atlas) < 0.05
+
+    def test_2d_classify(self, heat_2d_sol):
+        assert peak_stacks(heat_2d_sol, classify, heat_2d_sol, 0.01) < 0.3
+
+    def test_2d_separation_check(self, heat_2d_sol):
+        assert peak_stacks(heat_2d_sol, separation_check, heat_2d_sol, 0.01) < 0.3

@@ -572,6 +572,26 @@ class TestCli:
         assert main(["analyze", str(rd)]) == 3
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize("unlisted", [[], ["u_000003.csv"]], ids=["extra", "swap"])
+    def test_snapshot_beyond_num_snapshots_exit_3(self, tmp_path, capsys, unlisted):
+        """The manifest of 501 snapshot pairs also lists ``u_000501.csv``, a
+        copy of the last u snapshot with its digest; with ``swap`` it drops
+        ``u_000003.csv``, so it lists as many snapshot files as it should."""
+        p, data = self.write_cfg(tmp_path, name="beyond")
+        assert main(["run", str(p)]) == 0
+        rd = tmp_path / "beyond"
+        manifest = json.loads((rd / "manifest.json").read_text())
+        assert manifest["num_snapshots"] == 501
+        extra = rd / "u_000501.csv"
+        extra.write_bytes((rd / "u_000500.csv").read_bytes())
+        manifest["files"][extra.name] = hashlib.sha256(extra.read_bytes()).hexdigest()
+        for name in unlisted:
+            del manifest["files"][name]
+        (rd / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(rd)]) == 3
+        err = capsys.readouterr().err
+        assert all(name in err for name in ["u_000501.csv", *unlisted])
+
     def test_ragged_2d_rows_exit_3(self, tmp_path, capsys):
         """A 2D snapshot with one value moved to the next row, right total
         count and digest updated to match."""
@@ -1168,7 +1188,7 @@ def test_cli_import_leaves_lazy_modules_unloaded():
     script = """
 import sys
 import hysterm.cli
-print(sorted(m for m in ("hysterm.diagnostics", "multiprocessing",
+print(sorted(m for m in ("hysterm.diagnostics", "hysterm.growth", "multiprocessing",
                          "concurrent.futures", "logging") if m in sys.modules))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(hysterm.__file__).parents[1]))
