@@ -69,17 +69,15 @@ def heat_kernel(x, t: float, n: int) -> np.ndarray | float:
 def cutoff(x, x_star, rho0: float) -> np.ndarray | float:
     """Radial C^2 bump: 1 inside half the support radius, 0 outside it.
 
-    The transition is the quintic smoothstep 6q^5 - 15q^4 + 10q^3 of
-    q = 2*(1 - |x - x*|/rho0).
+    ``x`` is one point or an array of points along its last axis, each of
+    ``x_star``'s length (a scalar is a 1D point).  The transition is the
+    quintic smoothstep 6q^5 - 15q^4 + 10q^3 of q = 2*(1 - |x - x*|/rho0).
     """
     if rho0 <= 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     xs = np.atleast_1d(np.asarray(x_star, dtype=float))
-    if xa.shape[-1] == xs.shape[-1]:
-        s = np.sqrt(((xa - xs) ** 2).sum(axis=-1)) / rho0
-    else:
-        s = np.abs(xa - xs) / rho0
+    s = np.sqrt(((xa - xs) ** 2).sum(axis=-1)) / rho0
     q = np.clip(2.0 * (1.0 - s), 0.0, 1.0)
     val = q**3 * (q * (6.0 * q - 15.0) + 10.0)
     val = np.where(s <= 0.5, 1.0, val)
@@ -118,7 +116,7 @@ class _Quadrature:
         if rho0 is not None and self.radii[-1] > rho0 + _SLACK:
             raise ValueError("radii must not exceed rho0")
         times = np.asarray(times, dtype=float)
-        self.g, self.x_star, self.rho0 = g, x_star, rho0
+        self.g, self.rho0 = g, rho0
         self.k_star = int(t_star_index)
         t_star = times[self.k_star]
         self.w = _trapezoid_weights(g).reshape(-1)
@@ -191,15 +189,8 @@ class _Quadrature:
         if norm1 > 0 and norm2 > 0:
             n_emp = max(phi_vals) * rho0 ** (2 * g.dim + 8) / (norm1 * norm2)
 
-        center = SpaceTimePoint(self.k_star, _nearest_index(g, self.x_star))
-        dirvec = (
-            np.asarray(direction, dtype=float)
-            if direction is not None
-            else np.zeros(g.dim)
-        )
         return PhiTable(
-            center=center,
-            direction=dirvec,
+            direction=direction,
             rho0=float(rho0),
             radii=list(self.radii),
             phi_values=phi_vals,
@@ -236,10 +227,10 @@ def weighted_energy_I(
 
 @dataclass
 class PhiTable:
-    """Localized two-phase monotonicity functional along a radius ladder."""
+    """Localized two-phase monotonicity functional along a radius ladder;
+    ``direction`` is ``acf_phi``'s probe e as given, None from ``phi_from_pair``."""
 
-    center: SpaceTimePoint
-    direction: np.ndarray
+    direction: np.ndarray | None
     rho0: float
     radii: list
     phi_values: list
@@ -255,7 +246,6 @@ def phi_from_pair(
     t_star_index: int,
     rho0: float,
     radii: Sequence[float],
-    direction=None,
 ) -> PhiTable:
     """Phi(r) = I(r, theta1*xi) * I(r, theta2*xi) / r^4 for each radius.
 
@@ -265,15 +255,7 @@ def phi_from_pair(
     """
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     quad = _Quadrature(g, times, x_star, t_star_index, radii, rho0)
-    return quad.table(quad.window(theta1_stack), quad.window(theta2_stack), direction)
-
-
-def _nearest_index(g: Grid, x: np.ndarray) -> tuple:
-    """Index of the grid point nearest to x, clipped to the grid."""
-    return tuple(
-        int(np.clip(round(xi / d), 0, n - 1))
-        for xi, d, n in zip(np.atleast_1d(x), g.dx, g.nx)
-    )
+    return quad.table(quad.window(theta1_stack), quad.window(theta2_stack), None)
 
 
 def probe_directions(dim: int) -> list:
@@ -332,8 +314,6 @@ class GrowthSample:
     ratios_linear: list = field(init=False)
 
     def __post_init__(self):
-        if not all(b < a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly decreasing")
         self.ratios_quadratic = [o / r**2 for o, r in zip(self.osc_lower, self.radii)]
         self.ratios_full = [o / r**2 for o, r in zip(self.osc_full, self.radii)]
         self.ratios_linear = [s / r for s, r in zip(self.sup_grad, self.radii)]
@@ -347,7 +327,7 @@ def eligible_growth_centers(
     Mirrors the growth-estimate hypotheses: parabolic distance to the
     vertical walls and to the parabolic boundary both at least the largest
     radius of the ladder.  At most MAX_GROWTH_CENTERS of them, evenly
-    spread.  Returns (centers, skipped_count).
+    spread, as SpaceTimePoints.
     """
     pts = (atlas.t_index[atlas.gamma_0], atlas.idx[atlas.gamma_0])
     near = (boundary_distance(sol, pts) < rmax) | (
@@ -356,7 +336,7 @@ def eligible_growth_centers(
     rows = atlas.gamma_0[~near]
     if rows.size > MAX_GROWTH_CENTERS:
         rows = rows[spread_indices(0, rows.size - 1, MAX_GROWTH_CENTERS)]
-    return atlas.points(rows), int(near.sum())
+    return atlas.points(rows)
 
 
 def quadratic_growth(
@@ -365,7 +345,7 @@ def quadratic_growth(
     """Oscillation of u over lower and full cylinders, and sup |Du| over the
     full ones, per radius of the ladder at each eligible centre."""
     radii = sorted((float(r) for r in radii), reverse=True)
-    centers, _ = eligible_growth_centers(sol, atlas, radii[0])
+    centers = eligible_growth_centers(sol, atlas, radii[0])
     samples = []
     for z in centers:
         fulls = [cylinder_slices(sol, z, r, lower_only=False) for r in radii]

@@ -280,10 +280,9 @@ def _vertical_walls(sol, level_tol) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def separation_check(
-    sol: SpaceTimeSolution, level_tol: float | None = None
-) -> float:
-    """Minimum parabolic distance between the two discrete level sets.
+def separation_check(sol: SpaceTimeSolution, level_tol: float) -> float:
+    """Minimum parabolic distance between the two discrete level sets: the
+    points within ``level_tol`` of alpha and of beta.
 
     Samples the grid interior (``Grid.interior``) and returns the cap when
     either set is empty.  The value is the minimum over all (alpha point,
@@ -298,7 +297,6 @@ def separation_check(
     near points is rebuilt when the walk first needs it, so no mask of the
     run's size exists.
     """
-    level_tol = default_level_tol(sol) if level_tol is None else float(level_tol)
     th = sol.thresholds
     cap = sol.r_max()
     interior = sol.grid.interior()

@@ -234,20 +234,18 @@ def _first_diff(f: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndar
     """``np.gradient(f, dx, axis=axis)``, the same rounded operations in the
     same order, written into ``out`` (not ``f``) with no temporaries.
 
-    Along the last axis of C-contiguous arrays the central difference runs
-    once over their flat views: a ufunc over views strided in their last
-    axis would allocate numpy's iteration buffers, up to 64 KiB per operand.
-    The entries at either end of a row then mix neighbouring rows until the
-    one-sided edges overwrite them."""
-    n = f.shape[axis]
-    ax = (slice(None),) * axis
-    if axis == f.ndim - 1 and f.flags.c_contiguous and out.flags.c_contiguous:
-        src, mid = f.reshape(-1), out.reshape(-1)[1:-1]
-        np.subtract(src[2:], src[:-2], out=mid)
-    else:
-        mid = out[ax + (slice(1, -1),)]
-        np.subtract(f[ax + (slice(2, None),)], f[ax + (slice(None, -2),)], out=mid)
+    ``f`` and ``out`` are C-contiguous arrays of one shape.  The central
+    difference ``(f[2:] - f[:-2]) / (2*dx)`` runs once over their flat views
+    with the axis stride as offset, as in ``_second_diff_ops``: a ufunc over
+    views strided in their last axis would allocate numpy's iteration
+    buffers, up to 64 KiB per operand.  The entries at either end of the
+    axis, where the flat offset wraps into a neighbouring row or snapshot,
+    are then overwritten by the one-sided edges."""
+    n, s = f.shape[axis], math.prod(f.shape[axis + 1:])
+    src, mid = f.reshape(-1), out.reshape(-1)[s:-s]
+    np.subtract(src[2 * s:], src[: -2 * s], out=mid)
     np.divide(mid, 2.0 * dx, out=mid)
+    ax = (slice(None),) * axis
     for e, hi, lo in ((0, 1, 0), (n - 1, n - 1, n - 2)):
         edge = out[ax + (slice(e, e + 1),)]
         np.subtract(f[ax + (slice(hi, hi + 1),)], f[ax + (slice(lo, lo + 1),)],
@@ -349,17 +347,11 @@ class SpaceTimeSolution:
         return max(self.grid.diameter(), float(np.sqrt(max(t_span, 0.0))), 1e-30)
 
 
-def time_derivative(sol: SpaceTimeSolution, k) -> np.ndarray:
-    """Backward difference quotient of u between snapshots k-1 and k.
-
-    ``k`` is one snapshot index or an array of them.
-    """
-    k = np.asarray(k)
-    if (k < 1).any():
+def time_derivative(sol: SpaceTimeSolution, k: int) -> np.ndarray:
+    """Backward difference quotient of u between snapshots k-1 and k."""
+    if k < 1:
         raise ValueError("time_derivative needs k >= 1")
-    tau = sol.times[k] - sol.times[k - 1]
-    tau = np.reshape(tau, tau.shape + (1,) * sol.grid.dim)
-    return (sol.u[k] - sol.u[k - 1]) / tau
+    return (sol.u[k] - sol.u[k - 1]) / (sol.times[k] - sol.times[k - 1])
 
 
 def _spatial_mask(g: Grid, x0: np.ndarray, r: float) -> np.ndarray:

@@ -93,33 +93,29 @@ def bundled_config(name: str, **overrides) -> ScenarioConfig:
 
 
 def initial_data(cfg: ScenarioConfig, g: Grid):
-    """Returns (u0 field, h_hint field) for the configured preset."""
+    """Returns (u0 field, h_hint) for the configured preset: the hint is the
+    preset's ``h0``, a scalar, or for ``two_phase_wall`` a field; see
+    ``relay.field_init``."""
     p = cfg.preset
     kind = p["kind"]
     xs = g.mesh()
     if kind == "homogeneous":
         u0 = np.full(g.shape, float(p["u0"]))
-        hint = np.full(g.shape, int(p["h0"]), dtype=np.int8)
     elif kind == "sine":
         u0 = float(p["amplitude"]) * np.ones(g.shape)
         for x, e in zip(xs, g.extent):
             u0 = u0 * np.sin(np.pi * int(p["modes"]) * x / e)
-        hint = np.full(g.shape, int(p["h0"]), dtype=np.int8)
     elif kind == "gaussian_bump":
         w = float(p["width"])
         d2 = sum((x - c) ** 2 for x, c in zip(xs, p["center"]))
         u0 = float(p["base"]) + float(p["amplitude"]) * np.exp(
             -d2 / (2.0 * w * w)
         )
-        hint = np.full(g.shape, int(p["h0"]), dtype=np.int8)
     elif kind == "plateau":
         center = [e / 2.0 for e in g.extent]
         d2 = sum((x - c) ** 2 for x, c in zip(xs, center))
         u0 = float(p["level"]) + float(p["curvature"]) * d2
-        hint = np.full(g.shape, int(p["h0"]), dtype=np.int8)
     else:  # two_phase_wall, the last kind config.PRESET_KINDS admits
         u0 = np.full(g.shape, float(p["u0"]))
-        wall = float(p["wall_position"])
-        x0 = xs[0]
-        hint = np.where(x0 < wall, -1, 1).astype(np.int8)
-    return u0, hint
+        return u0, np.where(xs[0] < float(p["wall_position"]), -1, 1).astype(np.int8)
+    return u0, int(p["h0"])

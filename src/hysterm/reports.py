@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, build_grid, config_from_dict
-from .errors import DataIntegrityError
+from .errors import ConfigError, DataIntegrityError
 from .free_boundary import (WALL_MIN_STEPS, FreeBoundaryAtlas, classify,
                             separation_check)
 from .grid import SpaceTimeSolution
@@ -277,31 +277,31 @@ def default_radii(sol: SpaceTimeSolution) -> list:
 
 def analyze_run(
     run_dir,
-    out_dir=None,
     grad_tol: float | None = None,
     level_tol: float | None = None,
     radii=None,
 ) -> dict:
-    """Classify, diagnose, and write the report files into ``out_dir``
-    (default: the run directory); returns the summary written as
-    ``summary.json``."""
+    """Classify, diagnose, and write the report files into the run directory;
+    returns the summary written as ``summary.json``.  ``radii`` (default:
+    ``default_radii``) must not repeat a value."""
     from . import diagnostics as dg
 
+    if radii:
+        radii = sorted((float(r) for r in radii), reverse=True)
+        if any(a == b for a, b in zip(radii, radii[1:])):
+            raise ConfigError(f"radii must not repeat a value, got {radii}")
     sol, cfg = load_run(run_dir)
-    out_dir = Path(out_dir) if out_dir is not None else Path(run_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = Path(run_dir)
 
     atlas = classify(sol, level_tol=level_tol, grad_tol=grad_tol)
-    radii = sorted(
-        (float(r) for r in radii), reverse=True
-    ) if radii else default_radii(sol)
+    radii = radii or default_radii(sol)
 
     dim = sol.grid.dim
-    write_atlas_csv(atlas, out_dir / "atlas.csv", dim)
-    _write_table(out_dir / "walls.csv", WALL_COLUMNS[: dim + 3], atlas.walls.tolist())
+    write_atlas_csv(atlas, run_dir / "atlas.csv", dim)
+    _write_table(run_dir / "walls.csv", WALL_COLUMNS[: dim + 3], atlas.walls.tolist())
 
     samples = dg.quadratic_growth(sol, atlas, radii)
-    _write_point_table(out_dir / "growth.csv", dim, [
+    _write_point_table(run_dir / "growth.csv", dim, [
         "r", "osc_lower", "osc_full", "sup_grad",
         "ratio_quadratic", "ratio_full", "ratio_linear",
     ], (
@@ -311,30 +311,30 @@ def analyze_run(
     ))
 
     phi_tables = _phi_tables(sol, atlas, radii)
-    _write_point_table(out_dir / "phi.csv", dim, ["e", "rho0", "r", "phi"], (
-        (t.center.t_index, t.center.idx,
-         ";".join(repr(float(c)) for c in t.direction), t.rho0, r, p)
-        for t in phi_tables for r, p in zip(t.radii, t.phi_values)
+    _write_point_table(run_dir / "phi.csv", dim, ["e", "rho0", "r", "phi"], (
+        (z.t_index, z.idx, ";".join(repr(float(c)) for c in t.direction), t.rho0, r, p)
+        for z, t in phi_tables for r, p in zip(t.radii, t.phi_values)
     ))
 
     dt_min = float(np.diff(sol.times).min())
     signs = dg.sign_conditions(sol, atlas, tol=10.0 * dt_min)
-    _write_table(out_dir / "signs.csv", list(vars(signs)), [vars(signs).values()])
+    _write_table(run_dir / "signs.csv", list(vars(signs)), [vars(signs).values()])
 
     profile = dg.regularity_profile(sol, atlas)
     columns = ["dist_to_gamma_v", "dist_to_boundary", "abs_dt_u", "hess_norm"]
-    _write_point_table(out_dir / "profile.csv", dim, columns, zip(
+    _write_point_table(run_dir / "profile.csv", dim, columns, zip(
         profile.t_index.tolist(), profile.idx.tolist(),
         *(getattr(profile, c).tolist() for c in columns),
     ))
 
     summary = _summary(sol, cfg, atlas, samples, phi_tables, signs, profile)
-    (out_dir / "summary.json").write_bytes(_json_bytes(summary))
+    (run_dir / "summary.json").write_bytes(_json_bytes(summary))
     return summary
 
 
 def _phi_tables(sol, atlas, radii) -> list:
-    """Monotonicity tables at degenerate centers deep enough in space-time."""
+    """Monotonicity tables at degenerate centers deep enough in space-time,
+    as (centre, table) pairs."""
     from . import diagnostics as dg
 
     tables = []
@@ -345,7 +345,8 @@ def _phi_tables(sol, atlas, radii) -> list:
     for z, gap in zip(atlas.points(rows), gaps):
         if sol.times[z.t_index] - sol.times[0] < r_need**2 or gap < r_need:
             continue
-        tables.extend(dg.acf_phi(sol, z, directions, min(gap, 2.0 * r_need), radii))
+        tables += [(z, t) for t in dg.acf_phi(sol, z, directions,
+                                              min(gap, 2.0 * r_need), radii)]
     return tables
 
 
@@ -353,7 +354,7 @@ def _summary(sol, cfg, atlas, samples, phi_tables, signs, profile) -> dict:
     ratios_q = [r for s in samples for r in s.ratios_quadratic]
     ratios_f = [r for s in samples for r in s.ratios_full]
     ratios_l = [r for s in samples for r in s.ratios_linear]
-    n_emps = [t.n_emp for t in phi_tables if t.n_emp is not None]
+    n_emps = [t.n_emp for _, t in phi_tables if t.n_emp is not None]
     return {
         "name": cfg.name,
         "counts": {

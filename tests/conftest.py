@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled scenario runs (session-scoped) and oracles."""
+"""Shared fixtures: bundled scenario runs (session-scoped) and oracles,
+the scalar relay fold among them."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,53 @@ from hysterm.grid import (
 from hysterm.presets import bundled_config
 from hysterm.relay import Thresholds
 from hysterm.solver import run
+
+
+def relay_init(u0: float, h_hint: int, th: Thresholds) -> int:
+    """Initial state of one relay for input value ``u0``.
+
+    Outside the open band the state is forced by the input; inside it the
+    prescribed ``h_hint`` selects the branch of the multivalued relation.
+    """
+    if u0 <= th.alpha:
+        return -1
+    if u0 >= th.beta:
+        return 1
+    if h_hint not in (-1, 1):
+        raise ValueError(f"h_hint must be -1 or +1, got {h_hint}")
+    return h_hint
+
+
+def relay_step(prev: int, u_new: float, th: Thresholds) -> int:
+    """Advance one relay by one sample.
+
+    Pure function of (prev, u_new): lands exactly on a threshold give the
+    saturated value even when that repeats the previous state.
+    """
+    if u_new >= th.beta:
+        return 1
+    if u_new <= th.alpha:
+        return -1
+    return prev
+
+
+def relay_trace(u_samples, h0: int, th: Thresholds) -> np.ndarray:
+    """The scalar relay: the left-fold of ``relay_step`` along a sampled
+    trajectory, the oracle ``relay.relay_rule`` and ``relay.field_init``
+    are held against.
+
+    ``out[0] = relay_step(h0, u_samples[0])``; output length equals input
+    length.  Depends only on sample order, not on spacing.
+    """
+    samples = np.asarray(u_samples, dtype=float)
+    if samples.size == 0:
+        raise ValueError("u_samples must be non-empty")
+    out = np.empty(samples.size, dtype=np.int8)
+    h = h0
+    for k, u in enumerate(samples):
+        h = relay_step(h, u, th)
+        out[k] = h
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from conftest import (
 )
 from hysterm.config import config_from_dict
 from hysterm import grid
-from hysterm.free_boundary import classify, separation_check
+from hysterm.free_boundary import classify, default_level_tol, separation_check
 from hysterm.grid import (
     BC_DIRICHLET,
     BC_NEUMANN,
@@ -168,7 +168,8 @@ def levelsets_sol():
 
 class TestSeparationPinned:
     def test_levelsets_2d_default_tolerance(self, levelsets_sol):
-        assert separation_check(levelsets_sol) == 0.04999999999999999
+        level_tol = default_level_tol(levelsets_sol)
+        assert separation_check(levelsets_sol, level_tol) == 0.04999999999999999
 
     def test_heat_2d_explicit_tolerance(self):
         sol = run(config_from_dict(HEAT_2D))
@@ -179,7 +180,7 @@ class TestSeparationPinned:
         31 snapshots; the kernel needs a few distance maps."""
         tracemalloc.start()
         try:
-            separation_check(levelsets_sol)
+            separation_check(levelsets_sol, default_level_tol(levelsets_sol))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

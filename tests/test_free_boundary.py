@@ -199,7 +199,7 @@ class TestSeparation:
         assert separation_check(sol, level_tol=1e-6) == sol.r_max()
 
     def test_oscillator_separation_near_sqrt_band(self, oscillator_sol):
-        sep = separation_check(oscillator_sol)
+        sep = separation_check(oscillator_sol, default_level_tol(oscillator_sol))
         assert 0.9 <= sep <= 1.0
 
     def test_consecutive_sweep_gives_sqrt_dt(self):

@@ -224,13 +224,6 @@ class TestSnapshotStacks:
         loop = [np.sqrt((gradient(f, g) ** 2).sum(axis=0)) for f in u]
         assert np.array_equal(np.sqrt(gradient_norm_sq(u, g)), np.stack(loop))
 
-    def test_time_derivative_index_array(self):
-        g = Grid(extent=(1.0, 1.0), nx=(5, 6))
-        u = np.random.default_rng(7).normal(size=(4,) + g.shape)
-        sol = make_sol(g, [0.0, 0.1, 0.3, 0.35], u=u)
-        loop = np.stack([time_derivative(sol, k) for k in (1, 3)])
-        assert np.array_equal(time_derivative(sol, np.array([1, 3])), loop)
-
     def test_trailing_axes_must_match_grid(self):
         g = Grid(extent=(1.0, 1.0), nx=(5, 6))
         with pytest.raises(ValueError):

@@ -435,10 +435,11 @@ class TestAnalyze:
     def test_analyze_deterministic(self, run_dir, tmp_path):
         rd, _, _ = run_dir
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        analyze_run(rd, out_dir=out1)
-        analyze_run(rd, out_dir=out2)
-        for name in ("atlas.csv", "growth.csv", "phi.csv", "signs.csv",
-                     "profile.csv", "summary.json"):
+        for out in (out1, out2):
+            shutil.copytree(rd, out)
+            analyze_run(out)
+        for name in ("atlas.csv", "walls.csv", "growth.csv", "phi.csv",
+                     "signs.csv", "profile.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -659,6 +660,28 @@ class TestCli:
         before = sorted(p.name for p in rd.iterdir())
         assert main(["analyze", str(rd), f"{flag}={value}"]) == 2
         assert flag in capsys.readouterr().err
+        assert sorted(p.name for p in rd.iterdir()) == before
+
+    @pytest.mark.parametrize("extent, dt, T, preset", [
+        ([2.0], 4e-4, 0.3, {"kind": "plateau", "level": 0.05, "curvature": 0.3,
+                            "h0": 1}),
+        ([1.0], 1e-4, 0.05, {"kind": "two_phase_wall", "u0": 0.5,
+                             "wall_position": 0.5}),
+    ], ids=["plateau", "two_phase_wall"])
+    def test_analyze_rejects_repeated_radius(self, tmp_path, capsys, extent, dt,
+                                             T, preset):
+        """A repeated radius exits 2 naming radii before any report file is
+        written, on a run with growth centres (the plateau) and on one
+        without (the two-phase run)."""
+        p, data = self.write_cfg(tmp_path, name="rep", extent=extent, nx=[51],
+                                 dt=dt, T=T, snapshot_stride=5, preset=preset)
+        assert main(["run", str(p)]) == 0
+        rd = Path(data["output_dir"])
+        before = sorted(p.name for p in rd.iterdir())
+        assert main(["analyze", str(rd), "--radii", "0.2,0.2"]) == 2
+        assert "radii" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="radii"):
+            analyze_run(rd, radii=[0.2, 0.2])
         assert sorted(p.name for p in rd.iterdir()) == before
 
     @pytest.mark.parametrize(
@@ -934,6 +957,7 @@ GOLDEN_CONFIG = {
 GOLDEN_DIGESTS = {
     "atlas.csv": "87aca93cd075706c446354ad5b73ba81ff2b41e0f7885bc669be5b4698812a8c",
     "config.json": "8db7b4dc0a0cb22e305baf4bacb4c24020c9a66ec1a33020ddda7940fb004ef3",
+    "growth.csv": "bc335cc75c5bf948c90d66607708388013c58c37c667a1df48b227c71c69784e",
     "h_000000.csv": "3073180d91a18b77e4f27493925b9edb9a5c2d979503931b2af30b7e1daf61ca",
     "h_000001.csv": "8641b25c55b01f7a15b6e839fe9567aa94554a015df7881bddf47cdb16e0bc2b",
     "h_000002.csv": "3a992a4013efacca7ea5ff40fa52646c5b60935082f6f67a9ac0ff32151ed3ed",
@@ -942,6 +966,10 @@ GOLDEN_DIGESTS = {
     "h_000005.csv": "bc4d1b31f2ef0ee03f196b04103eb52d2f3df3c503e8097f664c3b4ec5a4a552",
     "h_final.pgm": "7e674255637849ad562916e6d50a81f3188565da9003f4469b06ca25e77f1a6b",
     "manifest.json": "225c85cf20212deaf727643cc8209a3783bdbf412d222c232d7743e22027c370",
+    "phi.csv": "f1671d9dbbaa58d63bf9fd97eb66e6a5a5812fe2c7fa180dd5afb3c8dffee0dc",
+    "profile.csv": "ad7cf12d252e3819bf98ed60331ac1a89d202e7683cb374bb86aa20a43b59b34",
+    "signs.csv": "ec6f4327e5c3f0d69ea2430f09833a3170ef53fd48bd3df03d6c88cda8098e22",
+    "summary.json": "0dbbd2eadf6e7cbe2e1f6d43ae5c67eaf72364054ce07947b3e0b92f41664843",
     "u_000000.csv": "dd0dd3019b07531874f95c2ae0ca629a8f5ec44ba82922c0f4ffa1bd138fc91d",
     "u_000001.csv": "9834c41f0979958836b76c896e47bb3bca194befda8f67101df8b70e4e3d02d4",
     "u_000002.csv": "d11047325e4d74e9947fa1d00d85de87ebf9b8724b449bae9b9e4b9c51194dda",
@@ -949,6 +977,7 @@ GOLDEN_DIGESTS = {
     "u_000004.csv": "26603756410d2db18b1d772f424ca932967474755e0a06d5de6feb119a9cfd71",
     "u_000005.csv": "95e209be01f5a3c0e2390ab6775bfc3cd947624b1f5a5bc7d1e423aa321b1a21",
     "u_final.pgm": "e49efe50a27fd5912a3f3e037cd5464551eea620f1576619b2b41d740b1b64d4",
+    "walls.csv": "cf10d308b5506076fd9be7ece082f6f237ecf5ed82732bdcdef8d2cbb45feecd",
 }
 
 
@@ -984,8 +1013,9 @@ def test_golden_digests(tmp_path, monkeypatch):
 # The same for small 2D plateau runs, one per boundary condition kind, on a
 # grid with different spacings along x and y; the Neumann run also stores a
 # final snapshot off the stride.  Both runs flip relays in both directions.
-# Every run file is pinned: the config, each snapshot, both PGMs and the
-# manifest (which holds sup_bound_M); then the loaded stacks, as above.
+# Every file is pinned: the config, each snapshot, both PGMs, the manifest
+# (which holds sup_bound_M) and the analysis files; then the loaded stacks,
+# as above.
 GOLDEN_2D_BASE = {
     "dim": 2, "extent": [2.0, 1.0], "nx": [9, 6], "dt": 0.008, "T": 0.2,
 }
@@ -995,8 +1025,12 @@ GOLDEN_2D = {
              bc={"kind": "neumann"}, snapshot_stride=4,
              preset={"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1}),
         {
+            "atlas.csv":
+                "702171ad77b0ac4e82a04515d3c6cd38faa14badab4e79647be4b27beee0d19c",
             "config.json":
                 "432da67dba2cfccdcafa28d7b32c96d7dd3458ce0700e3d1dc2aedca7a5487bd",
+            "growth.csv":
+                "b662f8dda1f7843a9749e8cfe05d424615c605fe73c72ecc88ae23ad51a6ff37",
             "h_000000.csv":
                 "78019fc1f817dc02102aeeac75cc800acf584d47cb940c032a076806786b6c7d",
             "h_000001.csv":
@@ -1017,6 +1051,14 @@ GOLDEN_2D = {
                 "de221c661e84cded85e0498430381919d8485d13530ca2d787d8e3b9da9813ad",
             "manifest.json":
                 "17d8e729b7feeae69a668eaf83c6d2866e4f218b7c7be50b8e6c51f12c5fb815",
+            "phi.csv":
+                "82c7537750304a184f622c881f6f14837d551bcdf4956f1e911556f26416073b",
+            "profile.csv":
+                "6e50bf78564e5ba8089ec0f67b8ae68fd8cc4f9140c76aff44c6ddc2d10605a5",
+            "signs.csv":
+                "f3f9aa0bd661bcb60f960ee4f9e6dc6beb0e88f9824d7175a1a3d49880261f55",
+            "summary.json":
+                "fbbb0550a3ecde58e62c9473c885f2b8368f9842b8297d8101fb2fe2ba5a148a",
             "u_000000.csv":
                 "80c668f66edb3e2a96b24e647a06c63374365c8103144ed67282c490753ce131",
             "u_000001.csv":
@@ -1035,6 +1077,8 @@ GOLDEN_2D = {
                 "b583dbba29c1797f652a03d4db594a3517f61a70fc5b6b67ae5d108462a32234",
             "u_final.pgm":
                 "0a07f483abb8920a983571a2896905eec28979c806cf7b9ad6135a7f9caef38b",
+            "walls.csv":
+                "be299e59da081c0dcc80cdf3cf104168880a96b162d049e9c25a705e58639405",
         },
         {
             "times": "7863f3689189c43639d6e6116ba53945ccc726186bc24445f4a0185c16dfc201",
@@ -1047,8 +1091,12 @@ GOLDEN_2D = {
              bc={"kind": "dirichlet", "value": 0.3}, snapshot_stride=5,
              preset={"kind": "plateau", "level": 0.29, "curvature": 0.01, "h0": 1}),
         {
+            "atlas.csv":
+                "c0cfbf9e64b1054d8af4db85818275a3d16d31542ab818d71273e62bc6857904",
             "config.json":
                 "b3933293f819fafce98d1d02c2ce86932ebbb8a15074ccd4d6a01dcf232a29ca",
+            "growth.csv":
+                "b662f8dda1f7843a9749e8cfe05d424615c605fe73c72ecc88ae23ad51a6ff37",
             "h_000000.csv":
                 "78019fc1f817dc02102aeeac75cc800acf584d47cb940c032a076806786b6c7d",
             "h_000001.csv":
@@ -1065,6 +1113,14 @@ GOLDEN_2D = {
                 "de221c661e84cded85e0498430381919d8485d13530ca2d787d8e3b9da9813ad",
             "manifest.json":
                 "dafbb04076cedef63be436ca7ecaa6e3afa92229f95065273b245081a228f4f1",
+            "phi.csv":
+                "82c7537750304a184f622c881f6f14837d551bcdf4956f1e911556f26416073b",
+            "profile.csv":
+                "6b63e5328e249b6073fbfd011b1fcd2d778c64a89ff9e5b78dadc59d8280b6ff",
+            "signs.csv":
+                "ec6f4327e5c3f0d69ea2430f09833a3170ef53fd48bd3df03d6c88cda8098e22",
+            "summary.json":
+                "f03bb0e68b2220589273b5097bb88e8be048de61e79579b7c812aee21c44681f",
             "u_000000.csv":
                 "aee0b5b4178831d474d5d4d4e04a68cd59ac4229d32fb746f193a2c74bee3e2d",
             "u_000001.csv":
@@ -1079,6 +1135,8 @@ GOLDEN_2D = {
                 "bdeafc1916c2c19d7f6621c0400d764b3b445638f2c9265e897e4643ec9573f5",
             "u_final.pgm":
                 "8de847dd2d9c11b234ee05c97556a975bff1ef1f760524bf8c667c286663b127",
+            "walls.csv":
+                "be299e59da081c0dcc80cdf3cf104168880a96b162d049e9c25a705e58639405",
         },
         {
             "times": "1f4c28cb4122f4758cbd2dfe0ed46d4cdc5ab1ceec61b92c2c70c60601890562",
@@ -1095,10 +1153,58 @@ def test_golden_digests_2d(tmp_path, monkeypatch, bc):
     monkeypatch.chdir(tmp_path)
     Path("golden.json").write_text(json.dumps(dict(cfg, output_dir="run")))
     assert main(["run", "golden.json"]) == 0
+    assert main(["analyze", "run"]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in Path("run").iterdir()}
     assert got == digests
     assert array_digests("run") == arrays
+
+
+# A small 1D two-phase run whose right phase falls through alpha towards the
+# wall: the wall rows, a near-wall event the sign check skips and the
+# profile's distances to the walls are pinned.  The preset and the analysis
+# use only + - * / and sqrt, as above; the ladder's largest radius exceeds
+# every boundary gap, so no phi table (the heat kernel's exp) enters the
+# summary.  The manifest pins the run files by their digests.
+GOLDEN_WALL_CONFIG = {
+    "name": "golden_wall", "dim": 1, "extent": [1.0], "nx": [21], "dt": 0.001,
+    "T": 0.4, "alpha": 0.0, "beta": 1.0, "bc": {"kind": "neumann"},
+    "snapshot_stride": 20,
+    "preset": {"kind": "two_phase_wall", "u0": 0.1, "wall_position": 0.1},
+}
+GOLDEN_WALL_ANALYZE = ["--grad-tol", "0.01", "--radii", "0.6,0.3"]
+GOLDEN_WALL_DIGESTS = {
+    "atlas.csv": "893186296f3bbcaa5d4ea7e31f6e4eb6e2ac4f04b49be5ef56e86a465dc37111",
+    "config.json": "868ddf3ab0a2a92ea0b401b0dd861d2ff6bf86582b652e2fdf923de0b83450ae",
+    "growth.csv": "19bd12be037610d976f61ece89b1ebe5b018ae6348e0d86ee77e8d685d3424c9",
+    "manifest.json": "f6c85aa0b0ea0ad0b364e0ddfc8a590b6326a23fea6404e1e82d88db2cdf1f14",
+    "phi.csv": "f1671d9dbbaa58d63bf9fd97eb66e6a5a5812fe2c7fa180dd5afb3c8dffee0dc",
+    "profile.csv": "6e8ef1852babbf97a0192407d39658ca57c883bb0b25ff5051750ac1dfe1fcaf",
+    "signs.csv": "6534d8d724bf8a6eb83668af649b604692fa6ac7f234f67ad0bb9fb0a5c57e44",
+    "summary.json": "16708ad59619b36abdad138d179cdb7e866d5fedd8a581ad1afe8fad5a8f5e74",
+    "walls.csv": "c5e15463b02e6a231ac8ae8bfa5e75eeb62d876947447c9f16c91acd94d88c42",
+}
+GOLDEN_WALL_ARRAYS = {
+    "times": "88c5599c522a397226e41126de304f8a24ca050d6bde6dc618dcd5c2d6922f60",
+    "u": "4429fe7df010d7d7d3042154c4146742fa6e1b85a4e5b1c51cac12be0d2af0a6",
+    "h": "5986569ce9b8cbddc755987117c932a1757ceb09a786c7f4ac2d7e688fb5449d",
+}
+
+
+def test_golden_digests_wall(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("golden.json").write_text(json.dumps(dict(GOLDEN_WALL_CONFIG, output_dir="run")))
+    assert main(["run", "golden.json"]) == 0
+    assert main(["analyze", "run", *GOLDEN_WALL_ANALYZE]) == 0
+    got = {
+        name: hashlib.sha256((Path("run") / name).read_bytes()).hexdigest()
+        for name in GOLDEN_WALL_DIGESTS
+    }
+    assert got == GOLDEN_WALL_DIGESTS
+    assert array_digests("run") == GOLDEN_WALL_ARRAYS
+    signs = (Path("run") / "signs.csv").read_text().splitlines()[1].split(",")
+    assert signs[2] == "1"  # skipped_near_wall
+    assert len((Path("run") / "walls.csv").read_text().splitlines()) == 1 + 7
 
 
 @pytest.mark.parametrize("cfg", [GOLDEN_CONFIG, GOLDEN_2D["neumann"][0]],

@@ -5,22 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hysterm.relay import (
-    Thresholds,
-    field_init,
-    field_update,
-    relay_init,
-    relay_rule,
-    relay_step,
-    relay_trace,
-)
+from conftest import relay_init, relay_step, relay_trace
+from hysterm.relay import Thresholds, field_init, field_update, relay_rule
 
 TH = Thresholds(0.0, 1.0)
 
 
 class TestThresholds:
     def test_valid(self):
-        assert TH.band == 1.0
+        assert (TH.alpha, TH.beta) == (0.0, 1.0)
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.5, 0.5)])
     def test_invalid_order(self, a, b):
@@ -135,7 +128,8 @@ class TestHysteresisProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_relay_rule_is_the_fold_of_relay_step(self, rows, data):
-        """Boolean rule applied to a sequence of fields == per-point fold."""
+        """Boolean rule applied to a sequence of fields == per-point fold,
+        and ``field_init`` == ``relay_init`` per point."""
         n = data.draw(st.integers(1, 12))
         value = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([TH.alpha, TH.beta]))
         fields = np.array(data.draw(st.lists(
@@ -145,6 +139,10 @@ class TestHysteresisProperties:
         plus, scratch = h0 == 1, np.empty(n, dtype=bool)
         h = h0.astype(np.int8)
         folds = [relay_trace(fields[:, i], h0[i], TH) for i in range(n)]
+        # one sample from per-node hints: the fold's first state
+        init = field_init(fields[0], h0, TH)
+        assert init.tolist() == [relay_init(fields[0, i], h0[i], TH) for i in range(n)]
+        assert init.tolist() == [fold[0] for fold in folds]
         for k, u in enumerate(fields):
             relay_rule(plus, u, TH, scratch)
             h = field_update(h, u, TH)

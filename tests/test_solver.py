@@ -219,7 +219,8 @@ class TestInvariants:
 
 def relay(h, u, th):
     """The relay written out pointwise: +1 where ``u >= beta``, -1 where
-    ``u <= alpha``, ``h`` in between."""
+    ``u <= alpha``, ``h`` in between; ``h`` may be a scalar hint, broadcast
+    over ``u``."""
     return np.where(u >= th.beta, 1, np.where(u <= th.alpha, -1, h)).astype(np.int8)
 
 
