@@ -6,9 +6,10 @@ first-order one-sided stencils at the spatial boundary; diagnostics that
 care about stencil order only sample ``Grid.interior()``, the points at
 least ``INTERIOR_MARGIN`` cells away from the boundary.  The derivative
 operators act on the trailing ``dim`` axes, so a ``(K,) + shape`` snapshot
-stack goes through in one call; ``gradient`` and ``hessian`` write
-straight into their output with no stack-sized temporaries.  The analysis
-passes call them on blocks of snapshots whose scratch fits ``BLOCK_BYTES``.
+stack goes through in one call; ``gradient`` and the 2D ``hessian`` write
+straight into their output with no stack-sized temporaries (a 1D
+``hessian`` holds ``2f`` in one).  The analysis passes call them on
+blocks of snapshots whose scratch fits ``BLOCK_BYTES``.
 
 Parabolic cylinders and the parabolic distance follow parabolic scaling:
 the lower cylinder of radius ``r`` at ``z0 = (x0, t0)`` collects grid
@@ -170,50 +171,46 @@ def _check_field(f: np.ndarray, g: Grid) -> np.ndarray:
     return f
 
 
-def _second_diff_ops(
-    f: np.ndarray, axis: int, dx: float, g: Grid, out: np.ndarray,
-    twice: np.ndarray,
-) -> list:
-    """The ufunc calls ``(ufunc, a, b, out)`` of the central second
-    difference of ``f`` along one axis into ``out``, given ``twice`` holding
-    ``2.0*f``; ``twice`` may be ``out`` itself.
+def _run_ops(ops: list) -> None:
+    """Makes the calls ``(callable, args)`` in order."""
+    for f, args in ops:
+        f(*args)
 
-    ``f``, ``out`` and ``twice`` are C-contiguous arrays of one shape, ``f``
-    distinct from the other two.  The interior stencil
-    ``((f[2:] - 2.0*f[1:-1]) + f[:-2]) / h2`` runs once over their flat
-    views with the axis stride as offset, so every axis reads contiguous
-    memory; each entry of ``twice`` is read before the same entry of
-    ``out`` is written.  The entries at either end of the axis, where the
-    flat offset wraps into a neighbouring row or snapshot, are left as they
-    come out, except that Neumann edges are then overwritten with the
-    reflected-ghost value.
+
+def _second_sum_ops(f: np.ndarray, axis: int, g: Grid, out: np.ndarray) -> list:
+    """The calls ``(callable, args)`` that write ``f[i+1] + f[i-1]`` along
+    one axis into ``out``, an array distinct from ``f``; both are
+    C-contiguous and of one shape.
+
+    One add runs over the flat views with the axis stride as offset, so
+    every axis reads contiguous memory.  The entries at either end of the
+    axis, where the flat offset wraps into a neighbouring row or snapshot,
+    are left as they come out, except that Neumann edges then take the
+    reflected ghost, ``f[1] + f[1]`` and ``f[-2] + f[-2]``.  Addition
+    commutes, so the sum of a mirrored ``f`` is the mirrored sum, bit for
+    bit, and so is every stencil built on it.
     """
-    h2 = dx * dx
     s = math.prod(f.shape[axis + 1:])
-    flat, mid = f.reshape(-1), out.reshape(-1)[s:-s]
-    ops = [(np.subtract, flat[2 * s:], twice.reshape(-1)[s:-s], mid),
-           (np.add, mid, flat[: -2 * s], mid), (np.divide, mid, h2, mid)]
+    flat = f.reshape(-1)
+    ops = [(np.add, (flat[2 * s:], flat[: -2 * s], out.reshape(-1)[s:-s]))]
     if g.bc_kind == BC_NEUMANN:
         lead = (slice(None),) * axis
         for e, i in ((slice(0, 1), slice(1, 2)), (slice(-1, None), slice(-2, -1))):
-            edge = out[lead + (e,)]
-            ops += [(np.subtract, f[lead + (i,)], f[lead + (e,)], edge),
-                    (np.multiply, edge, 2.0, edge), (np.divide, edge, h2, edge)]
+            ops.append((np.add, (f[lead + (i,)], f[lead + (i,)], out[lead + (e,)])))
     return ops
 
 
-def _second_diff(
-    f: np.ndarray, axis: int, dx: float, g: Grid, out: np.ndarray
-) -> np.ndarray:
-    """Central second difference along one axis, written into ``out``.
-
-    Runs ``_second_diff_ops`` with ``out`` first holding ``2.0*f``.
-    Dirichlet edges read 0 (boundary nodes are pinned by the solver, so
-    their stencil value is never consumed).  Returns ``out``.
+def _second_diff(f: np.ndarray, axis: int, dx: float, g: Grid, out: np.ndarray,
+                 twice: np.ndarray) -> np.ndarray:
+    """Central second difference ``((f[i+1] + f[i-1]) - 2f[i]) / dx**2``
+    along one axis, written into ``out``, given ``twice`` holding ``2.0*f``
+    (``_second_sum_ops`` for the sum; ``out`` is neither array).  Dirichlet edges read 0 (boundary
+    nodes are pinned by the solver, so their stencil value is never
+    consumed).  Returns ``out``.
     """
-    np.multiply(f, 2.0, out=out)
-    for op, a, b, o in _second_diff_ops(f, axis, dx, g, out, out):
-        op(a, b, out=o)
+    _run_ops(_second_sum_ops(f, axis, g, out))
+    np.subtract(out, twice, out=out)
+    np.divide(out, dx * dx, out=out)
     if g.bc_kind == BC_DIRICHLET:
         lead = (slice(None),) * axis
         out[lead + (0,)] = out[lead + (-1,)] = 0.0
@@ -223,10 +220,10 @@ def _second_diff(
 def laplacian(f: np.ndarray, g: Grid) -> np.ndarray:
     """Second-order central Laplacian (3-point in 1D, 5-point in 2D)."""
     f = _check_field(f, g)
-    lead = f.ndim - g.dim
-    out = _second_diff(f, lead, g.dx[0], g, np.empty_like(f))
+    lead, twice = f.ndim - g.dim, np.multiply(f, 2.0)
+    out = _second_diff(f, lead, g.dx[0], g, np.empty_like(f), twice)
     for axis in range(1, g.dim):
-        out += _second_diff(f, lead + axis, g.dx[axis], g, np.empty_like(f))
+        out += _second_diff(f, lead + axis, g.dx[axis], g, np.empty_like(f), twice)
     return out
 
 
@@ -236,7 +233,7 @@ def _first_diff(f: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndar
 
     ``f`` and ``out`` are C-contiguous arrays of one shape.  The central
     difference ``(f[2:] - f[:-2]) / (2*dx)`` runs once over their flat views
-    with the axis stride as offset, as in ``_second_diff_ops``: a ufunc over
+    with the axis stride as offset, as in ``_second_sum_ops``: a ufunc over
     views strided in their last axis would allocate numpy's iteration
     buffers, up to 64 KiB per operand.  The entries at either end of the
     axis, where the flat offset wraps into a neighbouring row or snapshot,
@@ -300,8 +297,9 @@ def hessian(f: np.ndarray, g: Grid) -> np.ndarray:
     f = _check_field(f, g)
     lead = f.ndim - g.dim
     out = np.empty((g.dim, g.dim) + f.shape)
+    twice = np.multiply(f, 2.0, out=out[0, -1] if g.dim == 2 else None)
     for i, d in enumerate(g.dx):
-        _second_diff(f, lead + i, d, g, out[i, i])
+        _second_diff(f, lead + i, d, g, out[i, i], twice)
     if g.dim == 2:
         gx = _first_diff(f, lead, g.dx[0], out[1, 0])
         out[1, 0] = _first_diff(gx, lead + 1, g.dx[1], out[0, 1])

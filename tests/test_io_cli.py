@@ -955,9 +955,9 @@ GOLDEN_CONFIG = {
     "preset": {"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1},
 }
 GOLDEN_DIGESTS = {
-    "atlas.csv": "87aca93cd075706c446354ad5b73ba81ff2b41e0f7885bc669be5b4698812a8c",
+    "atlas.csv": "841c58968276af06191c349f49ac5673eb1fb353b51ecf8d0eb6823679ca3c8d",
     "config.json": "8db7b4dc0a0cb22e305baf4bacb4c24020c9a66ec1a33020ddda7940fb004ef3",
-    "growth.csv": "bc335cc75c5bf948c90d66607708388013c58c37c667a1df48b227c71c69784e",
+    "growth.csv": "a4bc3b9b62be6b7afce7091a57ccc9265825b4734b358199d9851a0f7346a894",
     "h_000000.csv": "3073180d91a18b77e4f27493925b9edb9a5c2d979503931b2af30b7e1daf61ca",
     "h_000001.csv": "8641b25c55b01f7a15b6e839fe9567aa94554a015df7881bddf47cdb16e0bc2b",
     "h_000002.csv": "3a992a4013efacca7ea5ff40fa52646c5b60935082f6f67a9ac0ff32151ed3ed",
@@ -965,17 +965,17 @@ GOLDEN_DIGESTS = {
     "h_000004.csv": "d05a3c285b98cb3a0d986b9cc03c17b5c8aca2dc11030e924aaafc5b6454778e",
     "h_000005.csv": "bc4d1b31f2ef0ee03f196b04103eb52d2f3df3c503e8097f664c3b4ec5a4a552",
     "h_final.pgm": "7e674255637849ad562916e6d50a81f3188565da9003f4469b06ca25e77f1a6b",
-    "manifest.json": "225c85cf20212deaf727643cc8209a3783bdbf412d222c232d7743e22027c370",
+    "manifest.json": "26d70763105ac88a2907e20e4836af8f9e3dda088f2876e7795f9681a4158370",
     "phi.csv": "f1671d9dbbaa58d63bf9fd97eb66e6a5a5812fe2c7fa180dd5afb3c8dffee0dc",
-    "profile.csv": "ad7cf12d252e3819bf98ed60331ac1a89d202e7683cb374bb86aa20a43b59b34",
+    "profile.csv": "c04e65c1c94f607a6f08157ceeb0173b0c28979d8999613fe27bc9c48bef6c89",
     "signs.csv": "ec6f4327e5c3f0d69ea2430f09833a3170ef53fd48bd3df03d6c88cda8098e22",
-    "summary.json": "0dbbd2eadf6e7cbe2e1f6d43ae5c67eaf72364054ce07947b3e0b92f41664843",
+    "summary.json": "bae27df294ba38fbf13545b5494e68fe4d68d0d869e416bdaa122f74e315a8a8",
     "u_000000.csv": "dd0dd3019b07531874f95c2ae0ca629a8f5ec44ba82922c0f4ffa1bd138fc91d",
-    "u_000001.csv": "9834c41f0979958836b76c896e47bb3bca194befda8f67101df8b70e4e3d02d4",
-    "u_000002.csv": "d11047325e4d74e9947fa1d00d85de87ebf9b8724b449bae9b9e4b9c51194dda",
-    "u_000003.csv": "4d9ccd87ef518f80c4e34495c5e98c3a059e321227badb3ccdc7d5b3f4994a04",
-    "u_000004.csv": "26603756410d2db18b1d772f424ca932967474755e0a06d5de6feb119a9cfd71",
-    "u_000005.csv": "95e209be01f5a3c0e2390ab6775bfc3cd947624b1f5a5bc7d1e423aa321b1a21",
+    "u_000001.csv": "3e7e4453cba62e65a7d90bc300b6d69d8db4088931c2a95eb01c1dc8aac9ee6c",
+    "u_000002.csv": "6c555d23f6aef9d00add2be6fd56e2125783885e0c594720d39f9596b9865bae",
+    "u_000003.csv": "0a7ea8fb4603025485417395b8bfaee7b6506095d7e65641e22edc555546048e",
+    "u_000004.csv": "d7fbc4ccb2d6211533d471a88023db6b35522572d1965c834ccf6518bc7074af",
+    "u_000005.csv": "a117e24eef5c35a28c0f8b52ea6630678af684bf66b4bba601afa224787d39f2",
     "u_final.pgm": "e49efe50a27fd5912a3f3e037cd5464551eea620f1576619b2b41d740b1b64d4",
     "walls.csv": "cf10d308b5506076fd9be7ece082f6f237ecf5ed82732bdcdef8d2cbb45feecd",
 }
@@ -985,7 +985,7 @@ GOLDEN_DIGESTS = {
 # runs: the file pins above may move with the text format, these may not
 GOLDEN_ARRAYS = {
     "times": "1f4c28cb4122f4758cbd2dfe0ed46d4cdc5ab1ceec61b92c2c70c60601890562",
-    "u": "c20bb55828abb6f7066e1226d01b89bec52036d08420d2c73eaeddc75ed7dbab",
+    "u": "0f425f9de7d5791dba394558ce086e4eee93f61a4a501d1a26d0773a17d3a8d3",
     "h": "5aa30c46cb446f075d4f4062825f6e0ed6cc3b6d208680966488fbcf088db75c",
 }
 
@@ -1026,7 +1026,7 @@ GOLDEN_2D = {
              preset={"kind": "plateau", "level": 0.05, "curvature": 0.3, "h0": 1}),
         {
             "atlas.csv":
-                "702171ad77b0ac4e82a04515d3c6cd38faa14badab4e79647be4b27beee0d19c",
+                "391ee329d0b9a4d34314964ebf0847b171b3370fa419932dabaa6c64b2bed4cf",
             "config.json":
                 "432da67dba2cfccdcafa28d7b32c96d7dd3458ce0700e3d1dc2aedca7a5487bd",
             "growth.csv":
@@ -1050,31 +1050,31 @@ GOLDEN_2D = {
             "h_final.pgm":
                 "de221c661e84cded85e0498430381919d8485d13530ca2d787d8e3b9da9813ad",
             "manifest.json":
-                "17d8e729b7feeae69a668eaf83c6d2866e4f218b7c7be50b8e6c51f12c5fb815",
+                "6f958898b9f7178509dde6e9e5ba02387ff167fc86bcea4e5c7bf88a5a864990",
             "phi.csv":
                 "82c7537750304a184f622c881f6f14837d551bcdf4956f1e911556f26416073b",
             "profile.csv":
-                "6e50bf78564e5ba8089ec0f67b8ae68fd8cc4f9140c76aff44c6ddc2d10605a5",
+                "04b04ce2206550c9985518480babe1d1fd3163f771c7ef55f4748394711cc6eb",
             "signs.csv":
                 "f3f9aa0bd661bcb60f960ee4f9e6dc6beb0e88f9824d7175a1a3d49880261f55",
             "summary.json":
-                "fbbb0550a3ecde58e62c9473c885f2b8368f9842b8297d8101fb2fe2ba5a148a",
+                "2191de31f598c3b121948187e0f401c6b153fcaa9d221efd69ccd9267b121d89",
             "u_000000.csv":
                 "80c668f66edb3e2a96b24e647a06c63374365c8103144ed67282c490753ce131",
             "u_000001.csv":
-                "ab1a44f5a692ca64586a5f131f387078940a68ca8dc7acfa3232fee4614dfeff",
+                "505b7bbe57f21b82a614d34ef4a8c38affb6e23f89cd5f1d19603854dd5e7992",
             "u_000002.csv":
-                "57089733711f066d38155707b670054866d1e144e1b49b576982607668b02fe9",
+                "729d2c09d8bced5935b940325a8a6794fe0a54636c0d10c72c0cfab643e8db58",
             "u_000003.csv":
-                "598789e7b6d61c2e1ae4e57d678b0218624386b8dc6d88e4e91a6e80419445e2",
+                "a4a5134f1f29521befe5f80d50e52818af99366592414e5fb45dc4b05934e823",
             "u_000004.csv":
-                "84fa87e2603e62fe7681f199b45f6ea8352d1e5f9c689d7299855c99438a7a32",
+                "706cf900a19db85fc89d9c07aff2ccb170d31abfdc4c955887f2cb8fd7a9560f",
             "u_000005.csv":
-                "068795d9bbb2795d6c33bbf31c5be9dc5d8ed697aecc3153a69162f996a90230",
+                "57796ee23fa6b7d63aa6163154226207f86b010611d31a899e04897b3444a722",
             "u_000006.csv":
-                "96a99f9bfe496b05734dba8afcf9f7e407bc02875ae3cde1cef352ffce6219a2",
+                "2f977c5c9a9c8d66dacbf6a13cc2d3dff2902e8d34f72b8c716980d78f1d669a",
             "u_000007.csv":
-                "b583dbba29c1797f652a03d4db594a3517f61a70fc5b6b67ae5d108462a32234",
+                "c0393feee3cffe42c5c46ddf9868c6ff2d95c9af0515ff5f98020290f02d49da",
             "u_final.pgm":
                 "0a07f483abb8920a983571a2896905eec28979c806cf7b9ad6135a7f9caef38b",
             "walls.csv":
@@ -1082,7 +1082,7 @@ GOLDEN_2D = {
         },
         {
             "times": "7863f3689189c43639d6e6116ba53945ccc726186bc24445f4a0185c16dfc201",
-            "u": "7af511c260d6770e3d1af1e212658ec4628e3f76ff197903e2e225825b0b4ab6",
+            "u": "8dbcc754b45d79ccd81cd563d8a272b4805dfa534d630e8474fa4c29c0193d10",
             "h": "71c0c294219dc1de8f93238b73628c1b0e9fcbe05a0b262e9a4aba14befc2456",
         },
     ),
@@ -1092,7 +1092,7 @@ GOLDEN_2D = {
              preset={"kind": "plateau", "level": 0.29, "curvature": 0.01, "h0": 1}),
         {
             "atlas.csv":
-                "c0cfbf9e64b1054d8af4db85818275a3d16d31542ab818d71273e62bc6857904",
+                "183e1f07063c7c4b86874e266cb7f4ccc96906aa0809ff73ca7c745693c2d4e0",
             "config.json":
                 "b3933293f819fafce98d1d02c2ce86932ebbb8a15074ccd4d6a01dcf232a29ca",
             "growth.csv":
@@ -1112,27 +1112,27 @@ GOLDEN_2D = {
             "h_final.pgm":
                 "de221c661e84cded85e0498430381919d8485d13530ca2d787d8e3b9da9813ad",
             "manifest.json":
-                "dafbb04076cedef63be436ca7ecaa6e3afa92229f95065273b245081a228f4f1",
+                "98122b57ec1a2285cf4ef11742672f4748ca889a1e06414388b0b285ccbc8802",
             "phi.csv":
                 "82c7537750304a184f622c881f6f14837d551bcdf4956f1e911556f26416073b",
             "profile.csv":
-                "6b63e5328e249b6073fbfd011b1fcd2d778c64a89ff9e5b78dadc59d8280b6ff",
+                "63154b4a45bba16e786824eb7cc63af16e574eb6bd02302ae8d93596da6108e1",
             "signs.csv":
                 "ec6f4327e5c3f0d69ea2430f09833a3170ef53fd48bd3df03d6c88cda8098e22",
             "summary.json":
-                "f03bb0e68b2220589273b5097bb88e8be048de61e79579b7c812aee21c44681f",
+                "98b3b6295b0c210f54da20dafecd3ba8f8fc70f470604440ab855e8eba58f8bd",
             "u_000000.csv":
                 "aee0b5b4178831d474d5d4d4e04a68cd59ac4229d32fb746f193a2c74bee3e2d",
             "u_000001.csv":
-                "ab82067c82e1b24218d20c7aeaf7a06045386c1934ed66b9147b64801c0a63b7",
+                "7600388563dd93fe6334d6432410b83538fc3423791527cf999bfb7ae157f114",
             "u_000002.csv":
-                "77b98cf256bb514e64dc83d921329296c9fbfdec0d279bc7d7acfcc583c896e9",
+                "c9184f7f6bfb9dc43d894b7cabdd17e1979785a292d3ab07b1de39febe3b1fc1",
             "u_000003.csv":
-                "f979d777198e028b06e6f13e94f7e29a115772056812b978afe326727dfdb54b",
+                "06a79a9fe32e7b7524fa33058454b0e5188870426189fe81afe30b916cf4211c",
             "u_000004.csv":
-                "3b624e350626607e746fe57cda39993ddcae0092f706eacdaacfa1bc7a1d2524",
+                "753048f3243732a388569f88d2f0cc09af82d951aeaa03175d044f36e30c4c19",
             "u_000005.csv":
-                "bdeafc1916c2c19d7f6621c0400d764b3b445638f2c9265e897e4643ec9573f5",
+                "281147222bd4d068c5788fe588a7105199e46af53ec09d1b926f99f490f389ae",
             "u_final.pgm":
                 "8de847dd2d9c11b234ee05c97556a975bff1ef1f760524bf8c667c286663b127",
             "walls.csv":
@@ -1140,7 +1140,7 @@ GOLDEN_2D = {
         },
         {
             "times": "1f4c28cb4122f4758cbd2dfe0ed46d4cdc5ab1ceec61b92c2c70c60601890562",
-            "u": "e731a1997e2715d5a312c98f43cf3f44275289289507d661137312d707edc43f",
+            "u": "7c89508e67827b9e1a5b84acd93d0b7f32a846059daa5c8fe08209f54442bd1b",
             "h": "6ca0a0f970e3ad0f8da52da5b531189c518507f849503fe12549ec6007c7ee0a",
         },
     ),
@@ -1174,19 +1174,19 @@ GOLDEN_WALL_CONFIG = {
 }
 GOLDEN_WALL_ANALYZE = ["--grad-tol", "0.01", "--radii", "0.6,0.3"]
 GOLDEN_WALL_DIGESTS = {
-    "atlas.csv": "893186296f3bbcaa5d4ea7e31f6e4eb6e2ac4f04b49be5ef56e86a465dc37111",
+    "atlas.csv": "0f43da0c37641b78bef67464194d14509081983ff92672436c70a1b76032f413",
     "config.json": "868ddf3ab0a2a92ea0b401b0dd861d2ff6bf86582b652e2fdf923de0b83450ae",
     "growth.csv": "19bd12be037610d976f61ece89b1ebe5b018ae6348e0d86ee77e8d685d3424c9",
-    "manifest.json": "f6c85aa0b0ea0ad0b364e0ddfc8a590b6326a23fea6404e1e82d88db2cdf1f14",
+    "manifest.json": "a08b94d56f5d7b91cfa7efb90af454a5b65591b53c0cf5db461ee130184f12be",
     "phi.csv": "f1671d9dbbaa58d63bf9fd97eb66e6a5a5812fe2c7fa180dd5afb3c8dffee0dc",
-    "profile.csv": "6e8ef1852babbf97a0192407d39658ca57c883bb0b25ff5051750ac1dfe1fcaf",
+    "profile.csv": "c9bc42458489f34a58639b48dc8565affdd64736d74d434bf0143b981805e159",
     "signs.csv": "6534d8d724bf8a6eb83668af649b604692fa6ac7f234f67ad0bb9fb0a5c57e44",
-    "summary.json": "16708ad59619b36abdad138d179cdb7e866d5fedd8a581ad1afe8fad5a8f5e74",
+    "summary.json": "b20c102991a5331d04b77725866dc4349053e154fb471c00c67106f3066bee53",
     "walls.csv": "c5e15463b02e6a231ac8ae8bfa5e75eeb62d876947447c9f16c91acd94d88c42",
 }
 GOLDEN_WALL_ARRAYS = {
     "times": "88c5599c522a397226e41126de304f8a24ca050d6bde6dc618dcd5c2d6922f60",
-    "u": "4429fe7df010d7d7d3042154c4146742fa6e1b85a4e5b1c51cac12be0d2af0a6",
+    "u": "e1594c7385b2d97c9d3cc00df08bd35f9736072a7bacd10ccf22d33be2f512dc",
     "h": "5986569ce9b8cbddc755987117c932a1757ceb09a786c7f4ac2d7e688fb5449d",
 }
 
@@ -1248,8 +1248,8 @@ GOLDEN_PHI_CONFIG = {
     "preset": {"kind": "sine", "amplitude": 1.0, "modes": 1, "h0": -1},
 }
 GOLDEN_PHI_DIGESTS = {
-    "phi.csv": "0e1a9469a3dcac45515031449bd804f21ba4274a50c1bff6ca8095b661f5910c",
-    "summary.json": "0941a29f147430718591a78b744e3db592f936f7995bce274cfa82f5112c0faf",
+    "phi.csv": "93d0f20a83307301a8ffed5a10de384aebf458ab09effe9ea85a3a2693fe6fe3",
+    "summary.json": "53babaf710baba9d2fb1e9c8e2e446a92455af650a475c24e8944d9c66843e28",
 }
 
 

@@ -1,15 +1,17 @@
 """Explicit Euler integration: ODE exactness, convergence, invariants."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hysterm.config import build_grid, config_from_dict
 from hysterm.errors import CFLError, ConfigError, HystermError
-from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, cfl_limit, laplacian
+from hysterm.grid import BC_DIRICHLET, BC_NEUMANN, Grid, cfl_limit
 from hysterm.presets import bundled_config, initial_data
 from hysterm.relay import Thresholds, field_init, field_update
 from hysterm.solver import run, step
@@ -224,28 +226,41 @@ def relay(h, u, th):
     return np.where(u >= th.beta, 1, np.where(u <= th.alpha, -1, h)).astype(np.int8)
 
 
+def pin(f, g):
+    """Writes the Dirichlet value on every face of ``f``; returns ``f``."""
+    if g.bc_kind == BC_DIRICHLET:
+        for axis in range(g.dim):
+            np.moveaxis(f, axis, 0)[[0, -1]] = g.bc_value
+    return f
+
+
+def euler_step(u, h, g, dt):
+    """The unfused step in plain numpy: ``u + (sum_a r_a*((u[i+1] + u[i-1])
+    - 2u) - dt*h)`` with ``r_a = dt/dx_a**2``, the axes summed in order,
+    the edges reading the reflected ghost (``u[-1] = u[1]``), then the
+    Dirichlet faces pinned."""
+    lap = None
+    for axis, d in enumerate(g.dx):
+        n = u.shape[axis]
+        pad = np.pad(u, [(int(axis == a),) * 2 for a in range(u.ndim)], mode="reflect")
+        pair = pad.take(range(2, n + 2), axis) + pad.take(range(n), axis)
+        term = (dt / (d * d)) * (pair - 2.0 * u)
+        lap = term if lap is None else lap + term
+    return pin(u + (lap - dt * h), g)
+
+
 def reference_run(cfg):
-    """The unfused loop: ``u + dt*(laplacian(u) - h)``, the Dirichlet values
-    pinned, then ``relay``; ``sup_bound_M`` from ``np.abs``."""
+    """The unfused loop: ``euler_step``, then ``relay``; ``sup_bound_M``
+    from ``np.abs``."""
     g = build_grid(cfg)
     th = Thresholds(cfg.alpha, cfg.beta)
     u, hint = initial_data(cfg, g)
-
-    def pin(f):
-        if g.bc_kind == BC_DIRICHLET:
-            for axis in range(g.dim):
-                idx = [slice(None)] * g.dim
-                for end in (0, -1):
-                    idx[axis] = end
-                    f[tuple(idx)] = g.bc_value
-
-    pin(u)
+    pin(u, g)
     h = relay(hint, u, th)
     n_steps = int(round(cfg.T / cfg.dt))
     us, hs, sup_m = [u], [h], float(np.abs(u).max())
     for k in range(1, n_steps + 1):
-        u = u + cfg.dt * (laplacian(u, g) - h)
-        pin(u)
+        u = euler_step(u, h, g, cfg.dt)
         h = h if cfg.freeze_h else relay(h, u, th)
         sup_m = max(sup_m, float(np.abs(u).max()))
         if k % cfg.snapshot_stride == 0 or k == n_steps:
@@ -314,10 +329,23 @@ class TestFusedKernel:
         u = rng.uniform(0.0, 1.0, size=g.shape)
         h = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.shape)
         u2, h2 = step(u, h, g, 0.008, TH)
-        expected = u + 0.008 * (laplacian(u, g) - h)
-        expected[0, :] = expected[-1, :] = expected[:, 0] = expected[:, -1] = 0.3
+        expected = euler_step(u, h, g, 0.008)
         assert np.array_equal(u2, expected)
         assert np.array_equal(h2, field_update(h, expected, TH))
+
+    # ufunc and fill calls of one Euler step: a pass that comes back shows
+    STEP_CALLS = {(1, BC_NEUMANN): 8, (1, BC_DIRICHLET): 6, (2, BC_NEUMANN): 14,
+                  (2, BC_DIRICHLET): 11}
+
+    @pytest.mark.parametrize("dim, bc", sorted(STEP_CALLS))
+    def test_step_list_is_pinned_and_divides_nothing(self, dim, bc):
+        import hysterm.solver as solver
+
+        g = Grid(extent=(2.0, 1.0)[:dim], nx=(9, 6)[:dim], bc_kind=bc, bc_value=0.3)
+        ops = solver._step_ops(np.zeros(g.shape), np.zeros(g.shape),
+                               np.empty((1 + dim,) + g.shape), g, 0.008)
+        assert len(ops) == self.STEP_CALLS[dim, bc]
+        assert all(f is not np.divide for f, _ in ops)
 
     def test_config_changed_after_validation_checked_for_cfl(self):
         cfg = homogeneous_config(T=0.01)
@@ -339,14 +367,14 @@ class TestFusedKernel:
 
         real, calls = solver._step_ops, []
 
-        def nan_at_step_5(a, b, out):
+        def nan_at_step_5(out):
             calls.append(None)
             if len(calls) == 5:
                 out.reshape(-1)[out.size // 2] = np.nan
 
-        def poisoned(u, hf, lap, work, g, dt):
-            ops = real(u, hf, lap, work, g, dt)
-            return ops[:1] + [(nan_at_step_5, None, None, work)] + ops[1:]
+        def poisoned(u, hdt, scratch, g, dt):
+            ops = real(u, hdt, scratch, g, dt)
+            return ops[:1] + [(nan_at_step_5, (scratch[0],))] + ops[1:]
 
         monkeypatch.setattr(solver, "_step_ops", poisoned)
         for cfg in (homogeneous_config(T=0.01), REFERENCE_CASES["2d_dirichlet"]()):
@@ -384,12 +412,10 @@ class TestFusedKernel:
         rng = np.random.default_rng(4)
         u = rng.uniform(0.0, 1.0, size=g.shape)
         hf = rng.choice([-1.0, 1.0], size=g.shape)
-        expected = u + 0.008 * (laplacian(u, g) - hf)
-        for axis in range(dim):
-            np.moveaxis(expected, axis, 0)[[0, -1]] = 0.3
+        expected = euler_step(u, hf, g, 0.008)
         faces = u[[0, -1]]
-        ops = solver._step_ops(u, hf, np.full(g.shape, np.nan),
-                               np.full(g.shape, np.nan), g, 0.008)
+        ops = solver._step_ops(u, 0.008 * hf, np.full((1 + dim,) + g.shape, np.nan),
+                               g, 0.008)
         pins = len(ops) - (dim - 1)
         solver._run_ops(ops[:pins])
         assert np.isfinite(u).all()
@@ -463,6 +489,82 @@ class TestRelaySkip:
                     "h0": h0},
         )
         assert_bitwise_reference(run(cfg), reference_run(cfg))
+
+
+@st.composite
+def symmetry_cases(draw, square=False):
+    """A small run of 24 steps, every one stored, as ``(config dict, u0,
+    hint)``: random initial values in [-1, 1] around the band (-0.5, 0.4)
+    and random per-node hints, Neumann or Dirichlet; a square grid when
+    asked, unequal spacings otherwise."""
+    dim = 2 if square else draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(3, 8))
+    nx = [n, n] if square else [draw(st.integers(3, 9)) for _ in range(dim)]
+    extent = [1.0, 1.0] if square else [2.0, 1.0][:dim]
+    bc = draw(st.sampled_from([None, -0.3, 0.0, 0.45]))
+    dt = 0.2 * min(e / (k - 1) for e, k in zip(extent, nx)) ** 2
+    cfg = {
+        "name": "sym", "dim": dim, "extent": extent, "nx": nx, "dt": dt,
+        "T": 24 * dt, "alpha": -0.5, "beta": 0.4,
+        "bc": {"kind": "neumann"} if bc is None else {"kind": "dirichlet", "value": bc},
+        "preset": {"kind": "homogeneous", "u0": 0.0, "h0": 1},
+    }
+    u0 = draw(hnp.arrays(float, tuple(nx), elements=st.floats(-1.0, 1.0)))
+    hint = draw(hnp.arrays(np.int8, tuple(nx), elements=st.sampled_from([-1, 1])))
+    return cfg, u0, hint
+
+
+def run_from(cfg, u0, hint):
+    """``run`` of the config dict with ``(u0, hint)`` as its initial data."""
+    import hysterm.solver as solver
+
+    with mock.patch.object(solver, "initial_data", lambda c, g: (u0.copy(), hint)):
+        return run(config_from_dict(cfg))
+
+
+def assert_mapped(sol, mapped, f):
+    """``mapped`` holds ``f`` of each u and h snapshot of ``sol``."""
+    assert np.array_equal(mapped.u, f(sol.u))
+    assert np.array_equal(mapped.h, f(sol.h))
+
+
+class TestSymmetries:
+    """``run`` commutes bit for bit with the symmetries of the relay heat
+    equation, relay flips included."""
+
+    @given(case=symmetry_cases(), axis=st.integers(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_mirror(self, case, axis):
+        """``x -> L - x`` along one axis."""
+        cfg, u0, hint = case
+        axis %= cfg["dim"]
+        sol = run_from(cfg, u0, hint)
+        mirrored = run_from(cfg, np.flip(u0, axis), np.flip(hint, axis))
+        assert_mapped(sol, mirrored, lambda a: np.flip(a, 1 + axis))
+        assert mirrored.sup_bound_M == sol.sup_bound_M
+
+    @given(case=symmetry_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_negation(self, case):
+        """``(u, h, alpha, beta) -> (-u, -h, -beta, -alpha)``, the Dirichlet
+        value negated; the arrays compare as numbers, so that a zero sum,
+        +0.0 in both runs, equals the negated -0.0."""
+        cfg, u0, hint = case
+        neg = dict(cfg, alpha=-cfg["beta"], beta=-cfg["alpha"], bc=dict(cfg["bc"]))
+        if "value" in neg["bc"]:
+            neg["bc"]["value"] = -neg["bc"]["value"]
+        sol = run_from(cfg, u0, hint)
+        assert_mapped(sol, run_from(neg, -u0, -hint), np.negative)
+
+    @given(case=symmetry_cases(square=True))
+    @settings(max_examples=30, deadline=None)
+    def test_transposition(self, case):
+        """The swap of the axes of a square 2D grid."""
+        cfg, u0, hint = case
+        sol = run_from(cfg, u0, hint)
+        swapped = run_from(cfg, u0.T, np.ascontiguousarray(hint.T))
+        assert_mapped(sol, swapped, lambda a: np.swapaxes(a, 1, 2))
+        assert swapped.sup_bound_M == sol.sup_bound_M
 
 
 fields = st.lists(
